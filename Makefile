@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint lint-baseline lint-fix-check bench bench-engine bench-smoke fuzz hunt hunt-smoke replay-smoke suite serve serve-test serve-bench clean
+.PHONY: build test verify fmt-check lint lint-baseline lint-fix-check bench bench-engine bench-smoke fuzz hunt hunt-smoke replay-smoke suite serve serve-test serve-bench clean
 
 # The rrlint baseline: accepted pre-existing findings (currently hotalloc
 # debt in the comparison policies), subtracted from lint runs so only new
@@ -14,14 +14,19 @@ build:
 test:
 	$(GO) build ./... && $(GO) test ./...
 
-# Full verify loop (see DESIGN.md "Verification loop"): vet + rrlint +
-# the whole test suite under the race detector. The exp suite, the
-# differential harness and the rrserve stress wall all run work
+# Full verify loop (see DESIGN.md "Verification loop"): gofmt + vet +
+# rrlint + the whole test suite under the race detector. The exp suite,
+# the differential harness and the rrserve stress wall all run work
 # concurrently, so -race is load-bearing. serve-test is part of
 # `go test ./...` already; listing it keeps the race-mode service wall
 # explicit in the verify contract.
-verify: serve-test
+verify: fmt-check serve-test
 	$(GO) vet ./... && $(GO) run ./cmd/rrlint -baseline $(LINT_BASELINE) && $(GO) test -race ./...
+
+# Fails, listing the files, when any tracked .go file is not gofmt-clean.
+fmt-check:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Project-specific static analysis (DESIGN.md "Static analysis layer"):
 # determinism, cancellation, float-safety, ownership and zero-alloc
@@ -57,15 +62,18 @@ serve-bench:
 
 # Differential fuzzing of the fast engine against the reference engine,
 # fuzzing of the rrserve request surface (decoder + spec parser), fuzzing
-# of the hunt shrinker's contract (validity + ratio window), and fuzzing of
-# the lint IR builder (CFG/def-use construction must be total over
-# arbitrary syntax). FUZZTIME=5m make fuzz for longer campaigns.
+# of the hunt shrinker's contract (validity + ratio window), of the trace
+# decoder (totality + round trip, and the in-place NDJSON scanner against
+# encoding/json), and fuzzing of the lint IR builder (CFG/def-use
+# construction must be total over arbitrary syntax). FUZZTIME=5m make fuzz
+# for longer campaigns.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzEngineAgreement -fuzztime=$(FUZZTIME) ./internal/check
 	$(GO) test -fuzz=FuzzSimulateRequest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz=FuzzShrinker -fuzztime=$(FUZZTIME) ./internal/hunt
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz=FuzzNDJSONLine -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzLintIR -fuzztime=$(FUZZTIME) ./internal/lint
 
 # Adversarial ratio hunt (see DESIGN.md §14). `make hunt` runs the default

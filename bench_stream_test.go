@@ -1,6 +1,7 @@
 package rrnorm_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -13,6 +14,7 @@ import (
 	"rrnorm/internal/metrics"
 	"rrnorm/internal/policy"
 	"rrnorm/internal/stats"
+	"rrnorm/internal/trace"
 	"rrnorm/internal/workload"
 )
 
@@ -37,11 +39,12 @@ func streamSource(n int) *workload.StreamSource {
 // --- allocation budget (tier-1) ----------------------------------------------
 
 // TestStreamAllocBudget pins the streaming path's allocation contract: a
-// fast-engine RR run pulling jobs from a synthetic StreamSource with a
-// StreamNorm attached allocates nothing per run in steady state — 0
-// allocs/job by a stronger statement. The source draws each job on demand
-// and the engine buffers only the alive set, so this is the whole
-// replay pipeline minus the decoder.
+// fast-engine RR run with a StreamNorm attached allocates nothing per job
+// in steady state, whether it pulls from a synthetic StreamSource or
+// decodes the same stream from an NDJSON or CSV trace through
+// trace.NewDecoder — the whole replay pipeline past gunzip. A run may pay
+// only a small constant: constructing the one-shot source, plus O(log n)
+// appends growing the decoder's dense id bitset.
 func TestStreamAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is disturbed by -short test interleavings")
@@ -50,10 +53,10 @@ func TestStreamAllocBudget(t *testing.T) {
 	p := policy.NewRR()
 	ws := core.NewWorkspace()
 	opts := core.Options{Machines: 2, Speed: 1, Engine: core.EngineFast, Observer: sn}
-	measure := func(n int) float64 {
+	measure := func(n int, source func() core.JobSource) float64 {
 		run := func() {
 			sn.Reset()
-			sum, err := fast.RunStream(streamSource(n), p, opts, ws)
+			sum, err := fast.RunStream(source(), p, opts, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,16 +67,35 @@ func TestStreamAllocBudget(t *testing.T) {
 		run() // warm-up: grows the alive-set buffers once
 		return testing.AllocsPerRun(10, run)
 	}
-	// A streaming source is one-shot, so each run pays a small constant to
-	// construct it (source + RNG internals). The contract is that the
-	// constant is all there is: 0 allocations per job, so quadrupling n
-	// must not move the count, and the constant stays single-digit.
-	small, large := measure(50_000), measure(200_000)
+	synthetic := func(n int) float64 {
+		return measure(n, func() core.JobSource { return streamSource(n) })
+	}
+	// The synthetic source's constant (source + RNG internals) is all
+	// there is: quadrupling n must not move the count, and the constant
+	// stays single-digit.
+	small, large := synthetic(50_000), synthetic(200_000)
 	if large != small {
 		t.Errorf("allocs/run grew with n: %v at 50k jobs vs %v at 200k — the per-job budget is 0", small, large)
 	}
 	if large > 8 {
 		t.Errorf("%v allocs/run on the streaming path; the one-shot source setup should cost < 8", large)
+	}
+
+	// The decoder legs: the same 200k-job stream, materialized (see
+	// TestStreamMatchesMaterialized) and encoded once per format.
+	const n = 200_000
+	in := workload.PoissonLoad(stats.NewRNG(11), n, 2, 0.9, workload.ExpSizes{M: 1})
+	for _, f := range []trace.Format{trace.FormatNDJSON, trace.FormatCSV} {
+		var buf bytes.Buffer
+		if err := trace.Encode(&buf, in.Jobs, f); err != nil {
+			t.Fatal(err)
+		}
+		got := measure(n, func() core.JobSource {
+			return trace.NewDecoder(bytes.NewReader(buf.Bytes()), trace.DecodeOptions{Format: f})
+		})
+		if got > 32 {
+			t.Errorf("%v allocs/run replaying a %d-job %v trace; the decoder should cost a constant plus O(log n) bitset growth, ≤ 32", got, n, f)
+		}
 	}
 }
 

@@ -139,12 +139,22 @@ func Min(xs []float64) float64 {
 // Percentile returns the p-th percentile (p ∈ [0,100]) using linear
 // interpolation between order statistics. Input is not modified.
 func Percentile(xs []float64, p float64) float64 {
-	n := len(xs)
+	return sortedPercentile(sortedCopy(xs), p)
+}
+
+// sortedCopy returns an ascending copy of xs, leaving xs as it was.
+func sortedCopy(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
+}
+
+// sortedPercentile is Percentile over s, which must already be ascending.
+func sortedPercentile(s []float64, p float64) float64 {
+	n := len(s)
 	if n == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
 	if p <= 0 {
 		return s[0]
 	}
@@ -204,8 +214,10 @@ type Summary struct {
 	Jain     float64
 }
 
-// Summarize computes a Summary for the given flow times.
+// Summarize computes a Summary for the given flow times. It sorts one copy
+// of flows for all three percentiles; flows itself is not modified.
 func Summarize(flows []float64) Summary {
+	sorted := sortedCopy(flows)
 	return Summary{
 		N:        len(flows),
 		L1:       LkNorm(flows, 1),
@@ -214,9 +226,9 @@ func Summarize(flows []float64) Summary {
 		L3:       LkNorm(flows, 3),
 		MaxFlow:  Max(flows),
 		Stddev:   Stddev(flows),
-		P50:      Percentile(flows, 50),
-		P95:      Percentile(flows, 95),
-		P99:      Percentile(flows, 99),
+		P50:      sortedPercentile(sorted, 50),
+		P95:      sortedPercentile(sorted, 95),
+		P99:      sortedPercentile(sorted, 99),
 		Jain:     JainIndex(flows),
 	}
 }

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +141,33 @@ func TestSummarize(t *testing.T) {
 	approx(t, s.L2, 5, 1e-12, "L2")
 	approx(t, s.MaxFlow, 4, 1e-12, "max")
 	approx(t, s.MeanFlow, 3.5, 1e-12, "mean")
+
+	// The percentiles come from one sorted copy: bit-equal to Percentile's,
+	// with the input left in its original, unsorted order.
+	rng := rand.New(rand.NewPCG(3, 4))
+	xs := make([]float64, 10_000)
+	for i := range xs {
+		xs[i] = rng.ExpFloat64()
+	}
+	orig := append([]float64(nil), xs...)
+	s = Summarize(xs)
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("Summarize changed its input at %d: %v, was %v", i, xs[i], orig[i])
+		}
+	}
+	if sort.Float64sAreSorted(xs) {
+		t.Fatal("Summarize sorted its input")
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		p    float64
+	}{{"P50", s.P50, 50}, {"P95", s.P95, 95}, {"P99", s.P99, 99}} {
+		if want := Percentile(xs, c.p); math.Float64bits(c.got) != math.Float64bits(want) {
+			t.Errorf("%s = %v, Percentile gives %v", c.name, c.got, want)
+		}
+	}
 }
 
 func TestLkNormLargeKStable(t *testing.T) {

@@ -174,10 +174,10 @@ func TestMapCtxPartialOnCancel(t *testing.T) {
 func TestWorkerCount(t *testing.T) {
 	cases := []struct{ n, workers, want int }{
 		{10, 4, 4},
-		{3, 8, 3},   // capped at n
+		{3, 8, 3}, // capped at n
 		{10, 0, runtime.GOMAXPROCS(0)},
 		{10, -1, runtime.GOMAXPROCS(0)},
-		{0, 4, 1},   // never below 1
+		{0, 4, 1}, // never below 1
 	}
 	for _, c := range cases {
 		if got := WorkerCount(c.n, c.workers); got != c.want {

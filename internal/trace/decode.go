@@ -222,7 +222,7 @@ func (d *Decoder) next() (core.Job, bool, error) {
 		var j core.Job
 		var err error
 		if d.opts.Format == FormatCSV {
-			j, err = d.parseCSV(string(raw))
+			j, err = d.parseCSV(raw)
 		} else {
 			j, err = d.parseNDJSON(raw)
 		}
@@ -279,6 +279,161 @@ func (d *Decoder) markID(id int) bool {
 	return false
 }
 
+// parseNDJSON decodes one NDJSON line: in place when it has the canonical
+// shape scanNDJSON accepts, through encoding/json otherwise.
+func (d *Decoder) parseNDJSON(raw []byte) (core.Job, error) {
+	if j, ok := scanNDJSON(raw); ok {
+		return j, nil
+	}
+	return d.decodeJSON(raw)
+}
+
+// NDJSON keys as bits of the set scanNDJSON has seen on a line.
+const (
+	keyID = 1 << iota
+	keyRelease
+	keySize
+	keyWeight
+
+	keysRequired = keyID | keyRelease | keySize
+)
+
+// scanNDJSON decodes b in place, allocating nothing, when it is one object
+// whose keys are exactly "id", "release", "size" and optionally "weight",
+// each lowercase, unescaped and present at most once, with JSON-number
+// values and JSON whitespace between tokens — the shape Encode writes. It
+// reports false for any other line, and decodeJSON then judges it: that
+// path alone accepts or rejects non-canonical input and words its errors.
+// Numbers are converted with the calls encoding/json makes for these field
+// types (strconv.ParseInt base 10, strconv.ParseFloat at 64 bits), so an
+// accepted line decodes bit-identically; a number either call rejects also
+// sends the line to decodeJSON.
+func scanNDJSON(b []byte) (core.Job, bool) {
+	var j core.Job
+	if len(b) == 0 || b[0] != '{' {
+		return j, false
+	}
+	var seen uint8
+	i := 1
+	for {
+		i = skipJSONSpace(b, i)
+		if i == len(b) || b[i] != '"' {
+			return j, false
+		}
+		// Only the four literal names are accepted, and none contains a
+		// quote or backslash, so the first quote ends any key worth
+		// reading; an escaped key never matches and falls back.
+		n := bytes.IndexByte(b[i+1:], '"')
+		if n < 0 {
+			return j, false
+		}
+		key := b[i+1 : i+1+n]
+		i = skipJSONSpace(b, i+n+2)
+		if i == len(b) || b[i] != ':' {
+			return j, false
+		}
+		i = skipJSONSpace(b, i+1)
+		n = jsonNumberLen(b[i:])
+		if n == 0 {
+			return j, false
+		}
+		num := b[i : i+n]
+		i = skipJSONSpace(b, i+n)
+		var bit uint8
+		var err error
+		switch string(key) {
+		case "id":
+			var id int64
+			bit = keyID
+			id, err = strconv.ParseInt(string(num), 10, 64)
+			j.ID = int(id)
+			if int64(j.ID) != id {
+				return j, false // encoding/json's OverflowInt on 32-bit int
+			}
+		case "release":
+			bit = keyRelease
+			j.Release, err = strconv.ParseFloat(string(num), 64)
+		case "size":
+			bit = keySize
+			j.Size, err = strconv.ParseFloat(string(num), 64)
+		case "weight":
+			bit = keyWeight
+			j.Weight, err = strconv.ParseFloat(string(num), 64)
+		default:
+			return j, false
+		}
+		if err != nil || seen&bit != 0 {
+			return j, false
+		}
+		seen |= bit
+		if i == len(b) {
+			return j, false
+		}
+		if b[i] == '}' {
+			// The caller trimmed the line, so the object must end it.
+			return j, i == len(b)-1 && seen&keysRequired == keysRequired
+		}
+		if b[i] != ',' {
+			return j, false
+		}
+		i++
+	}
+}
+
+// skipJSONSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipJSONSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// jsonNumberLen returns the length of the JSON number (RFC 8259 §6) that b
+// starts with, or 0 when it starts with none. After a leading zero the
+// number ends, so "01" scans as "0" and the caller rejects the stray "1".
+func jsonNumberLen(b []byte) int {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		k := skipDigits(b, i+1)
+		if k == i+1 {
+			return 0
+		}
+		i = k
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		k := skipDigits(b, i)
+		if k == i {
+			return 0
+		}
+		i = k
+	}
+	return i
+}
+
+// skipDigits returns the index of the first non-digit at or after i.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
 // ndRecord mirrors one NDJSON line; pointer fields distinguish absent from
 // zero so required fields can be enforced.
 type ndRecord struct {
@@ -288,7 +443,9 @@ type ndRecord struct {
 	Weight  *float64 `json:"weight"`
 }
 
-func (d *Decoder) parseNDJSON(raw []byte) (core.Job, error) {
+// decodeJSON decodes one NDJSON line with encoding/json, the arbiter of
+// every line scanNDJSON does not accept.
+func (d *Decoder) decodeJSON(raw []byte) (core.Job, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var rec ndRecord
@@ -349,23 +506,29 @@ func (d *Decoder) parseHeader(line string) error {
 	return nil
 }
 
-func (d *Decoder) parseCSV(line string) (core.Job, error) {
-	fields := strings.Split(line, ",")
-	if len(fields) != len(d.cols) {
-		return core.Job{}, &DecodeError{Line: d.line, Reason: fmt.Sprintf("%d fields, header has %d columns", len(fields), len(d.cols))}
+// parseCSV decodes one data row in place: fields are split with
+// bytes.IndexByte and trimmed with bytes.TrimSpace (the Unicode spaces
+// strings.TrimSpace trims), so no string copy or []string is built.
+func (d *Decoder) parseCSV(line []byte) (core.Job, error) {
+	if n := bytes.Count(line, comma) + 1; n != len(d.cols) {
+		return core.Job{}, &DecodeError{Line: d.line, Reason: fmt.Sprintf("%d fields, header has %d columns", n, len(d.cols))}
 	}
 	var j core.Job
-	for i, col := range d.cols {
-		v := strings.TrimSpace(fields[i])
+	for _, col := range d.cols {
+		v := line
+		if k := bytes.IndexByte(line, ','); k >= 0 {
+			v, line = line[:k], line[k+1:]
+		}
+		v = bytes.TrimSpace(v)
 		switch col {
 		case "id":
-			id, err := strconv.Atoi(v)
+			id, err := strconv.Atoi(string(v))
 			if err != nil {
 				return core.Job{}, &DecodeError{Line: d.line, Field: "id", Reason: fmt.Sprintf("invalid integer %q", v)}
 			}
 			j.ID = id
 		default:
-			f, err := strconv.ParseFloat(v, 64)
+			f, err := strconv.ParseFloat(string(v), 64)
 			if err != nil {
 				return core.Job{}, &DecodeError{Line: d.line, Field: col, Reason: fmt.Sprintf("invalid number %q", v)}
 			}
@@ -381,6 +544,9 @@ func (d *Decoder) parseCSV(line string) (core.Job, error) {
 	}
 	return j, nil
 }
+
+// comma is the CSV field separator, as bytes.Count's separator argument.
+var comma = []byte{','}
 
 // Encode writes jobs as a job trace in the given format — the inverse of
 // Decoder, used to export instances as replayable fixtures. Floats are

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,13 +57,15 @@ func TestDecodeCSV(t *testing.T) {
 	in := "size, id ,release\n" + // permuted header with spaces
 		"2,0,0\n" +
 		"# mid-trace comment\n" +
+		"\u00a03\u00a0,+2,0x1p-2\n" + // U+00A0 padding, a signed id, a hex-float release
+		"1_0,3,0.25\n" + // ParseFloat takes Go digit separators
 		"1.25, 1, 0.5\n"
 	jobs, err := drain(t, trace.NewDecoder(strings.NewReader(in), trace.DecodeOptions{Format: trace.FormatCSV}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []core.Job{{ID: 0, Release: 0, Size: 2}, {ID: 1, Release: 0.5, Size: 1.25}}
-	if len(jobs) != 2 || jobs[0] != want[0] || jobs[1] != want[1] {
+	want := []core.Job{{ID: 0, Release: 0, Size: 2}, {ID: 2, Release: 0.25, Size: 3}, {ID: 3, Release: 0.25, Size: 10}, {ID: 1, Release: 0.5, Size: 1.25}}
+	if !slices.Equal(jobs, want) {
 		t.Fatalf("decoded %+v, want %+v", jobs, want)
 	}
 }
@@ -168,6 +171,24 @@ func TestDecodeMalformed(t *testing.T) {
 			opts: trace.DecodeOptions{Format: trace.FormatCSV},
 			in:   "id,release,size\n0,zero,1\n",
 			line: 2, field: "release", frag: "invalid number",
+		},
+		{
+			name: "csv extra field",
+			opts: trace.DecodeOptions{Format: trace.FormatCSV},
+			in:   "id,release,size\n0,0,1,2\n",
+			line: 2, frag: "4 fields, header has 3 columns",
+		},
+		{
+			name: "csv empty field",
+			opts: trace.DecodeOptions{Format: trace.FormatCSV},
+			in:   "id,release,size\n0, ,1\n",
+			line: 2, field: "release", frag: `invalid number ""`,
+		},
+		{
+			name: "csv lowercase inf size",
+			opts: trace.DecodeOptions{Format: trace.FormatCSV},
+			in:   "id,release,size\n0,0,inf\n",
+			line: 2, field: "size", frag: "negative or non-finite size +Inf",
 		},
 		{
 			name: "sorted still rejects dup ids",
