@@ -1,11 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fmt-check lint lint-baseline lint-fix-check bench bench-engine bench-smoke fuzz hunt hunt-smoke replay-smoke suite serve serve-test serve-bench clean
-
-# The rrlint baseline: accepted pre-existing findings (currently hotalloc
-# debt in the comparison policies), subtracted from lint runs so only new
-# findings fail. Regenerate with `make lint-baseline` after fixing entries.
-LINT_BASELINE = internal/lint/testdata/lint.baseline
+.PHONY: build test verify fmt-check lint lint-fix-check bench bench-engine bench-smoke fuzz hunt hunt-smoke replay-smoke suite serve serve-test serve-bench clean
 
 build:
 	$(GO) build ./...
@@ -21,7 +16,7 @@ test:
 # `go test ./...` already; listing it keeps the race-mode service wall
 # explicit in the verify contract.
 verify: fmt-check serve-test
-	$(GO) vet ./... && $(GO) run ./cmd/rrlint -baseline $(LINT_BASELINE) && $(GO) test -race ./...
+	$(GO) vet ./... && $(GO) run ./cmd/rrlint && $(GO) test -race ./...
 
 # Fails, listing the files, when any tracked .go file is not gofmt-clean.
 fmt-check:
@@ -29,23 +24,18 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Project-specific static analysis (DESIGN.md "Static analysis layer"):
-# determinism, cancellation, float-safety, ownership and zero-alloc
-# invariants. Exit 0 means a clean tree; exit 1 lists file:line
-# diagnostics; exit 2 is a load error.
+# determinism, cancellation, float-safety and ownership invariants. The
+# zero-alloc invariant is pinned at runtime instead, by the alloc-budget
+# tests (DESIGN.md §12). Exit 0 means a clean tree; exit 1 lists
+# file:line diagnostics; exit 2 is a load error.
 lint:
-	$(GO) run ./cmd/rrlint -baseline $(LINT_BASELINE)
-
-# Regenerate the baseline from the current tree's post-suppression
-# findings. Run after fixing a baselined finding (to prune it) — never to
-# absorb a new one; new findings should be fixed or //rrlint:ignore'd.
-lint-baseline:
-	$(GO) run ./cmd/rrlint -write-baseline $(LINT_BASELINE)
+	$(GO) run ./cmd/rrlint
 
 # Machine-readable lint pass for CI artifacts: same exit semantics as
-# `lint`, but the findings (and the suppressed/baselined counts) land in
-# rrlint.json instead of the terminal.
+# `lint`, but the findings (and the suppressed count) land in rrlint.json
+# instead of the terminal.
 lint-fix-check:
-	$(GO) run ./cmd/rrlint -baseline $(LINT_BASELINE) -json > rrlint.json
+	$(GO) run ./cmd/rrlint -json > rrlint.json
 
 # The rrserve test wall on its own: e2e endpoints, cache/pool semantics,
 # and the 64-client byte-identical stress test, all under -race.
@@ -97,15 +87,19 @@ hunt-smoke:
 
 # Streaming replay determinism: replay the committed fixture twice through
 # the JobSource path (every policy, file and stdin) and require
-# byte-identical reports.
+# byte-identical reports. fixture.csv holds the same 400 jobs, written by
+# trace.Encode in CSV; its report must match the NDJSON one byte for byte,
+# which checks the CSV number grammar end to end.
 replay-smoke:
 	$(GO) build -o /tmp/rrsim-smoke ./cmd/rrsim
 	/tmp/rrsim-smoke -replay testdata/replay/fixture.ndjson -policy all -m 2 > /tmp/rrsim-replay-1.txt
 	/tmp/rrsim-smoke -replay testdata/replay/fixture.ndjson -policy all -m 2 > /tmp/rrsim-replay-2.txt
 	cmp /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-2.txt
+	/tmp/rrsim-smoke -replay testdata/replay/fixture.csv -format csv -policy all -m 2 > /tmp/rrsim-replay-csv.txt
+	cmp /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-csv.txt
 	/tmp/rrsim-smoke -replay - -policy SRPT -m 2 < testdata/replay/fixture.ndjson > /tmp/rrsim-replay-stdin.txt
 	grep -q '^SRPT' /tmp/rrsim-replay-stdin.txt
-	rm -f /tmp/rrsim-smoke /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-2.txt /tmp/rrsim-replay-stdin.txt
+	rm -f /tmp/rrsim-smoke /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-2.txt /tmp/rrsim-replay-csv.txt /tmp/rrsim-replay-stdin.txt
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -126,15 +120,17 @@ bench-engine:
 	WRITE_BENCH=1 $(GO) test -run 'TestWriteEngineBenchBaseline|TestWriteObserveBenchBaseline|TestWriteStreamBenchBaseline' -v -timeout 30m .
 
 # CI allocation + performance gate: the hot-path alloc budget tests
-# (0 allocs/run with a reused workspace, with and without observers
-# attached), the bulk-advance ratchet (batched RR ≥2x the reference
+# (0 allocs/run with a reused workspace for every policy on the reference
+# engine and every fast loop, with and without observers attached; stated
+# budgets for the materializing observers; DESIGN.md §12 maps each row),
+# the bulk-advance ratchet (batched RR ≥2x the reference
 # per-epoch engine at n=1e6, ≤10% regression vs the stepped fast loop),
 # plus a 100-iteration pass over the workspace grid (-short skips the
 # n=1e6 cells the ratchet already covers) and the observers-vs-segments
 # comparison so allocs/op regressions surface in the job log without a
 # full bench run.
 bench-smoke:
-	$(GO) test -run 'TestEngineAllocBudget|TestObserverAllocBudget|TestBenchSmokeRatchet' -v .
+	$(GO) test -run 'TestEngineAllocBudget|TestObserverAllocBudget|TestStreamAllocBudget|TestBenchSmokeRatchet' -v .
 	$(GO) test -run xxx -short -bench 'BenchmarkEngineWorkspaceGrid|BenchmarkEngineRR$$|BenchmarkEngineFastVsReference|BenchmarkObserverVsSegments' -benchtime=100x -benchmem .
 
 # Regenerate the experiment suite into results/.

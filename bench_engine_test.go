@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -27,41 +28,140 @@ import (
 // layer (DESIGN.md §12) — any closure that starts escaping, any buffer that
 // stops being reused, shows up here as a hard failure, in `go test ./...`
 // and in the CI bench smoke job alike.
+//
+// The reference rows range over the policy registry (plus Gittins and
+// StaticPriority, which take constructor arguments), each on the three
+// machine models of allocModels, so a newly registered policy is covered
+// without editing this test. The fast rows cover every fast loop: the
+// batched RR and top-m drains, the stepped loops behind
+// fast.SetSteppedAdvance, and the machine-sharded runner.
 func TestEngineAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is disturbed by -short test interleavings")
 	}
 	in := workload.PoissonLoad(stats.NewRNG(7), 2000, 2, 0.9, workload.ExpSizes{M: 1})
-	cases := []struct {
-		name   string
-		pol    core.Policy
-		engine core.EngineKind
-		mm     core.Machines
+	for _, name := range append(policy.Names(), "GITTINS", "PRIO") {
+		t.Run("reference/"+name, func(t *testing.T) {
+			for _, mm := range allocModels {
+				t.Run(mm.name, func(t *testing.T) {
+					p := allocPolicy(t, name, in)
+					opts := core.Options{Machines: 2, Speed: 1, Engine: core.EngineReference, MachineModel: mm.mm}
+					requireZeroAllocs(t, in, p, opts)
+				})
+			}
+		})
+	}
+	fastCases := []struct {
+		name string
+		mm   core.Machines
 	}{
-		{"fast/RR", policy.NewRR(), core.EngineFast, core.Machines{}},
-		{"fast/SRPT", policy.NewSRPT(), core.EngineFast, core.Machines{}},
-		{"fast/SJF", policy.NewSJF(), core.EngineFast, core.Machines{}},
-		{"fast/FCFS", policy.NewFCFS(), core.EngineFast, core.Machines{}},
-		{"reference/RR", policy.NewRR(), core.EngineReference, core.Machines{}},
+		{"RR", core.Machines{}},
+		{"SRPT", core.Machines{}},
+		{"SJF", core.Machines{}},
+		{"FCFS", core.Machines{}},
+		{"PRIO", core.Machines{}},
 		// The heterogeneous RR fast path must hold the same budget: the
 		// machine env and water-filling share table live on the workspace
 		// scratch and are rebuilt allocation-free once warm.
-		{"fast/RR-hetero", policy.NewRR(), core.EngineFast, core.Machines{Speeds: []float64{1, 3}}},
+		{"RR-hetero", core.Machines{Speeds: []float64{1, 3}}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, stepped := range []bool{false, true} {
+		prefix := "fast/"
+		if stepped {
+			prefix = "fast-stepped/"
+		}
+		for _, tc := range fastCases {
+			t.Run(prefix+tc.name, func(t *testing.T) {
+				defer fast.SetSteppedAdvance(fast.SetSteppedAdvance(stepped))
+				p := allocPolicy(t, strings.TrimSuffix(tc.name, "-hetero"), in)
+				opts := core.Options{Machines: 2, Speed: 1, Engine: core.EngineFast, MachineModel: tc.mm}
+				requireZeroAllocs(t, in, p, opts)
+			})
+		}
+	}
+	// batch.RunSharded pays a per-call constant (worker workspaces, the
+	// goroutines, one policy per shard) but nothing per job: its count
+	// must not grow when n grows tenfold. scatterShard's merge is the
+	// per-job part this row pins. Worker workspaces come from a sync.Pool,
+	// which a garbage collection empties and the race detector drains at
+	// random, and a fresh workspace costs a few allocations. So each size
+	// keeps the least of three measurements, and the row allows growth
+	// below one allocation per thousand added jobs (90 here), where one
+	// allocation per job would add 90,000.
+	t.Run("sharded/SRPT", func(t *testing.T) {
+		const m = 4
+		count := func(n int) float64 {
+			in := workload.PoissonLoad(stats.NewRNG(7), n, m, 0.9, workload.ExpSizes{M: 1})
 			ws := core.NewWorkspace()
-			opts := core.Options{Machines: 2, Speed: 1, Engine: tc.engine, MachineModel: tc.mm}
+			opts := core.Options{Machines: m, Speed: 1}
 			run := func() {
-				if _, err := fast.RunWS(in, tc.pol, opts, ws); err != nil {
+				if _, err := batch.RunSharded(context.Background(), in, "SRPT", opts, 2, ws, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			run() // warm-up: grows the buffers, attaches the engine scratch
-			if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
-				t.Errorf("%s: %v allocs/run in steady state, want 0", tc.name, allocs)
+			run() // warm-up: grows the merged result and the pooled shard workspaces
+			least := math.Inf(1)
+			for range 3 {
+				least = math.Min(least, testing.AllocsPerRun(10, run))
 			}
-		})
+			return least
+		}
+		small, large := count(10_000), count(100_000)
+		t.Logf("RunSharded SRPT m=%d: %v allocs/run at n=10⁴, %v at n=10⁵", m, small, large)
+		if large-small >= (100_000-10_000)/1000 {
+			t.Errorf("RunSharded allocs/run grew with n: %v at n=10⁴ vs %v at n=10⁵ — the per-job budget is 0", small, large)
+		}
+	})
+}
+
+// allocModels are the machine models every reference-engine row of
+// TestEngineAllocBudget runs on: the paper's identical machines, related
+// machines (the RatesEnv path and its feasibility check) and a preemption
+// cost (the per-alive charge column).
+var allocModels = []struct {
+	name string
+	mm   core.Machines
+}{
+	{"identical", core.Machines{}},
+	{"speeds-1-3", core.Machines{Speeds: []float64{1, 3}}},
+	{"preempt-0.1", core.Machines{PreemptCost: 0.1}},
+}
+
+// allocPolicy builds a fresh policy for an allocation row: a registered
+// name, or GITTINS (exp(1) sizes, matching the row's workload) or PRIO (a
+// fixed scrambled priority per job of in).
+func allocPolicy(t *testing.T, name string, in *core.Instance) core.Policy {
+	t.Helper()
+	switch name {
+	case "GITTINS":
+		return policy.NewGittins(func(x float64) float64 { return 1 - math.Exp(-x) }, 20, 1000)
+	case "PRIO":
+		prio := make(map[int]float64, in.N())
+		for _, j := range in.Jobs {
+			prio[j.ID] = float64((j.ID * 7919) % 1009)
+		}
+		return policy.NewStaticPriority(prio)
+	}
+	p, err := policy.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// requireZeroAllocs fails the test unless a run of p on in under opts,
+// after one warm-up run on the same workspace, allocates nothing.
+func requireZeroAllocs(t *testing.T, in *core.Instance, p core.Policy, opts core.Options) {
+	t.Helper()
+	ws := core.NewWorkspace()
+	run := func() {
+		if _, err := fast.RunWS(in, p, opts, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: grows the buffers, attaches the engine scratch
+	if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
+		t.Errorf("%s: %v allocs/run in steady state, want 0", t.Name(), allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package rrnorm_test
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -10,10 +11,13 @@ import (
 	"testing"
 
 	"rrnorm/internal/core"
+	"rrnorm/internal/dual"
 	"rrnorm/internal/fast"
+	"rrnorm/internal/hunt"
 	"rrnorm/internal/metrics"
 	"rrnorm/internal/policy"
 	"rrnorm/internal/stats"
+	"rrnorm/internal/trace"
 	"rrnorm/internal/workload"
 )
 
@@ -91,6 +95,69 @@ func TestObserverAllocBudget(t *testing.T) {
 			run() // warm-up: grows buffers, attaches scratch
 			if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
 				t.Errorf("%v: %v allocs/run with observers attached, want 0", eng, allocs)
+			}
+		})
+	}
+
+	// AgeMomentObserver reads per-job epochs, so it routes every engine
+	// choice to the reference loop: EngineReference directly, EngineAuto
+	// through the fast engine's dispatcher and its fallback.
+	am := core.NewAgeMomentObserver(2, 1)
+	for _, eng := range []core.EngineKind{core.EngineReference, core.EngineAuto} {
+		t.Run("age-moment/"+eng.String(), func(t *testing.T) {
+			ws := core.NewWorkspace()
+			opts := core.Options{Machines: 2, Speed: 1, Engine: eng, Observer: am}
+			run := func() {
+				if _, err := fast.RunWS(in, p, opts, ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
+				t.Errorf("%v: %v allocs/run with AgeMomentObserver attached, want 0", eng, allocs)
+			}
+		})
+	}
+
+	// Observers whose output is their allocation hold a stated budget
+	// instead of 0: allocs/run ≤ perJob·n + fixed, with a fresh observer
+	// per run (EngineAuto, so the fast path runs where it is eligible).
+	// The record-segments row is the engine's own RecordSegments mode,
+	// with no observer attached.
+	n := float64(in.N())
+	budgeted := []struct {
+		name          string
+		obs           func() core.Observer
+		record        bool    // Options.RecordSegments
+		perJob, fixed float64 // the budget
+		why           string
+	}{
+		{"trace", func() core.Observer { return trace.NewObserver(io.Discard) }, false, 12, 64,
+			"encoding/json boxes one record per arrival, completion and epoch (RR has at most two epochs per job), " +
+				"and its pooled encoder state, which the race detector drains at random, can cost two more per record"},
+		{"segments", func() core.Observer { return &core.SegmentRecorder{} }, false, 4, 64,
+			"each recorded Segment owns copies of its job and rate slices: two per epoch"},
+		{"record-segments", func() core.Observer { return nil }, true, 4, 64,
+			"each recorded Segment owns copies of its job and rate slices: two per epoch"},
+		{"gantt", func() core.Observer { return core.NewGanttObserver(80) }, false, 2, 64,
+			"the chart keeps per-job accumulators and one bar run per epoch"},
+		{"witness", func() core.Observer { w, _ := dual.NewWitnessObserver(2, 0.1, 2); return w }, false, 0, 128,
+			"only the certificate and the O(log n) growth of the fresh observer's per-job arrays"},
+		{"monitor", func() core.Observer { return hunt.NewStreamMonitor(2, 1) }, false, 0, 128,
+			"only the O(log n) growth of the fresh monitor's per-job arrays; anomaly messages format only when an invariant breaks"},
+	}
+	for _, b := range budgeted {
+		t.Run(b.name, func(t *testing.T) {
+			ws := core.NewWorkspace()
+			run := func() {
+				opts := core.Options{Machines: 2, Speed: 1, Observer: b.obs(), RecordSegments: b.record}
+				if _, err := fast.RunWS(in, p, opts, ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if allocs, budget := testing.AllocsPerRun(5, run), b.perJob*n+b.fixed; allocs > budget {
+				t.Errorf("%v allocs/run at n=%v, budget %v: %s", allocs, n, budget, b.why)
 			}
 		})
 	}

@@ -53,7 +53,7 @@ func TestStreamAllocBudget(t *testing.T) {
 	p := policy.NewRR()
 	ws := core.NewWorkspace()
 	opts := core.Options{Machines: 2, Speed: 1, Engine: core.EngineFast, Observer: sn}
-	measure := func(n int, source func() core.JobSource) float64 {
+	measure := func(n int, opts core.Options, source func() core.JobSource) float64 {
 		run := func() {
 			sn.Reset()
 			sum, err := fast.RunStream(source(), p, opts, ws)
@@ -68,7 +68,7 @@ func TestStreamAllocBudget(t *testing.T) {
 		return testing.AllocsPerRun(10, run)
 	}
 	synthetic := func(n int) float64 {
-		return measure(n, func() core.JobSource { return streamSource(n) })
+		return measure(n, opts, func() core.JobSource { return streamSource(n) })
 	}
 	// The synthetic source's constant (source + RNG internals) is all
 	// there is: quadrupling n must not move the count, and the constant
@@ -81,6 +81,26 @@ func TestStreamAllocBudget(t *testing.T) {
 		t.Errorf("%v allocs/run on the streaming path; the one-shot source setup should cost < 8", large)
 	}
 
+	// The reference engine's streaming mode holds the same constant, and
+	// so do the other sources: a bootstrap-resampling FittedSource, and an
+	// InstanceSource over a materialized slice.
+	ref := opts
+	ref.Engine = core.EngineReference
+	if got := measure(50_000, ref, func() core.JobSource { return streamSource(50_000) }); got > 8 {
+		t.Errorf("%v allocs/run on the reference engine's streaming path; the one-shot source setup should cost < 8", got)
+	}
+	fitted, err := workload.Fit(streamSource(10_000), 4096, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := measure(50_000, opts, func() core.JobSource { return fitted.Source(stats.NewRNG(5), 50_000) }); got > 8 {
+		t.Errorf("%v allocs/run replaying a FittedSource; the one-shot source setup should cost < 8", got)
+	}
+	slice := workload.PoissonLoad(stats.NewRNG(11), 50_000, 2, 0.9, workload.ExpSizes{M: 1})
+	if got := measure(50_000, opts, func() core.JobSource { return core.NewInstanceSource(slice) }); got > 8 {
+		t.Errorf("%v allocs/run replaying an InstanceSource; the one-shot source setup should cost < 8", got)
+	}
+
 	// The decoder legs: the same 200k-job stream, materialized (see
 	// TestStreamMatchesMaterialized) and encoded once per format.
 	const n = 200_000
@@ -90,7 +110,7 @@ func TestStreamAllocBudget(t *testing.T) {
 		if err := trace.Encode(&buf, in.Jobs, f); err != nil {
 			t.Fatal(err)
 		}
-		got := measure(n, func() core.JobSource {
+		got := measure(n, opts, func() core.JobSource {
 			return trace.NewDecoder(bytes.NewReader(buf.Bytes()), trace.DecodeOptions{Format: f})
 		})
 		if got > 32 {

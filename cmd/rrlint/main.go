@@ -3,22 +3,15 @@
 //
 // Usage:
 //
-//	rrlint [-C dir] [-json] [-check name,...] [-baseline file] [-write-baseline file] [packages]
+//	rrlint [-C dir] [-json] [-check name,...] [-list] [packages]
 //
 // The module is located by walking up from -C (default ".") to the nearest
 // go.mod; the whole module is always analyzed, so the optional package
 // argument is accepted only for `go`-tool muscle memory ("./...").
 //
-// Exit status: 0 when the tree is clean (suppressed and baselined
-// diagnostics do not count), 1 when any diagnostic is reported, 2 when the
-// module fails to load or type-check, or on usage errors.
-//
-// Baselines: -baseline subtracts the exact findings recorded in the given
-// file (see `make lint-baseline`), so only new findings fail the build.
-// Stale entries — recorded findings that no longer occur — are reported on
-// stderr but do not change the exit status; the lint-baseline-check CI step
-// is the hard gate that keeps the file current. -write-baseline regenerates
-// the file from the current (post-suppression) findings and exits 0.
+// Exit status: 0 when the tree is clean (suppressed diagnostics do not
+// count), 1 when any diagnostic is reported, 2 when the module fails to
+// load or type-check, or on usage errors.
 //
 // Suppressions: //rrlint:ignore <check> <reason> on the offending line or
 // the line above, or in a function's doc comment to cover the whole body.
@@ -48,12 +41,10 @@ func main() {
 
 func run() int {
 	var (
-		dir           = flag.String("C", ".", "directory inside the module to lint")
-		jsonOut       = flag.Bool("json", false, "emit the result as JSON on stdout")
-		checks        = flag.String("check", "", "comma-separated subset of checks to run (default: all)")
-		listOnly      = flag.Bool("list", false, "list the available checks and exit")
-		baselinePath  = flag.String("baseline", "", "subtract the findings recorded in this baseline file")
-		writeBaseline = flag.String("write-baseline", "", "write current findings to this baseline file and exit")
+		dir      = flag.String("C", ".", "directory inside the module to lint")
+		jsonOut  = flag.Bool("json", false, "emit the result as JSON on stdout")
+		checks   = flag.String("check", "", "comma-separated subset of checks to run (default: all)")
+		listOnly = flag.Bool("list", false, "list the available checks and exit")
 	)
 	flag.Parse()
 	for _, arg := range flag.Args() {
@@ -86,14 +77,6 @@ func run() int {
 			cfg.Analyzers = append(cfg.Analyzers, a)
 		}
 	}
-	if *baselinePath != "" && *writeBaseline == "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rrlint: %v\n", err)
-			return 2
-		}
-		cfg.Baseline = b
-	}
 
 	res, err := lint.Run(*dir, cfg)
 	if err != nil {
@@ -111,15 +94,6 @@ func run() int {
 		return 2
 	}
 
-	if *writeBaseline != "" {
-		if err := os.WriteFile(*writeBaseline, lint.FormatBaseline(res), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "rrlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "rrlint: wrote %d finding(s) to %s\n", len(res.Diagnostics), *writeBaseline)
-		return 0
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -131,11 +105,8 @@ func run() int {
 		for _, d := range res.Diagnostics {
 			fmt.Println(d)
 		}
-		fmt.Fprintf(os.Stderr, "rrlint: %d diagnostic(s), %d suppressed, %d baselined, %d package(s)\n",
-			len(res.Diagnostics), res.Suppressed, res.Baselined, res.Packages)
-	}
-	for _, stale := range res.BaselineStale {
-		fmt.Fprintf(os.Stderr, "rrlint: stale baseline entry (already fixed — run `make lint-baseline` to prune): %s\n", stale)
+		fmt.Fprintf(os.Stderr, "rrlint: %d diagnostic(s), %d suppressed, %d package(s)\n",
+			len(res.Diagnostics), res.Suppressed, res.Packages)
 	}
 	if !*jsonOut {
 		for _, d := range res.Diagnostics {

@@ -222,8 +222,6 @@ func RunSharded(ctx context.Context, in *core.Instance, policyName string, opts 
 // local outputs land at their global normalized indices through the
 // assignment bijection g = s + l·m. Shards write disjoint index sets, so
 // the concurrent calls from the worker pool never conflict.
-//
-//rrlint:hotpath
 func scatterShard(res, sRes *core.Result, s, m int) {
 	for l, t := range sRes.Completion {
 		g := s + l*m

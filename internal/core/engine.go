@@ -292,8 +292,6 @@ func RunStream(src JobSource, policy Policy, opts Options, ws *Workspace) (Strea
 // number, job value, elapsed work) rather than full-instance arrays, so
 // memory is O(peak alive), and the arithmetic, event counting, observer
 // emission and error semantics are identical in both modes.
-//
-//rrlint:hotpath
 func runReference(cur *Cursor, policy Policy, opts Options, ws *Workspace, res *Result, sum *StreamResult) error {
 	if !cur.More() {
 		return cur.Err()
@@ -463,9 +461,7 @@ func runReference(cur *Cursor, policy Policy, opts Options, ws *Workspace, res *
 			seg := Segment{
 				Start: now,
 				End:   end,
-				//rrlint:ignore hotalloc RecordSegments is the opt-in materializing mode; each segment owns its copies
-				Jobs: append([]int(nil), st.aliveSeq...),
-				//rrlint:ignore hotalloc RecordSegments is the opt-in materializing mode; each segment owns its copies
+				Jobs:  append([]int(nil), st.aliveSeq...),
 				Rates: append([]float64(nil), rates[:len(st.aliveSeq)]...),
 			}
 			res.Segments = append(res.Segments, seg)

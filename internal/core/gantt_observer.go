@@ -52,8 +52,6 @@ func (g *GanttObserver) NeedsJobEpochs() bool { return true }
 
 // ObserveArrival implements Observer. Arrivals come in normalized index
 // order, so appending keeps g.jobs aligned with job indices.
-//
-//rrlint:coldpath the chart materializes per-job accumulators by design; rendering is opt-in
 func (g *GanttObserver) ObserveArrival(t float64, job int, j Job) {
 	g.lazyInitWidth()
 	for len(g.jobs) <= job {

@@ -239,8 +239,6 @@ type SegmentRecorder struct {
 func (r *SegmentRecorder) ObserveArrival(t float64, job int, j Job) {}
 
 // ObserveEpoch implements Observer. The epoch's slices are copied.
-//
-//rrlint:coldpath materializing the timeline is this observer's contract; the deep copies are the point
 func (r *SegmentRecorder) ObserveEpoch(e *Epoch) {
 	r.Segments = append(r.Segments, Segment{
 		Start: e.Start,

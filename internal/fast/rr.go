@@ -223,8 +223,6 @@ func (r *rrMat) complete() {
 // observer tolerates coarse epochs the loop instead emits one aggregate
 // Epoch per maximal busy interval (Coarse == true), dropping the
 // per-event observer dispatch from the drain.
-//
-//rrlint:hotpath
 func (r *rrMat) run(opts core.Options) error {
 	jobs := r.jobs
 	n := len(jobs)
@@ -420,8 +418,6 @@ func runRRMat(r *rrRun, opts core.Options, s *scratch) error {
 // from the cursor (one-job lookahead, O(alive) memory). The next arrival
 // time is hoisted per drain — the cursor cannot change while completions
 // pop — so the drain touches no cursor state at all.
-//
-//rrlint:hotpath
 func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 	cur := r.cur
 	if !cur.More() {

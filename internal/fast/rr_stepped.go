@@ -16,8 +16,6 @@ import (
 // share: V(t) = ∫ min(1, m/n_t)·s dτ, a job admitted at t₀ with size p
 // completes when V reaches V(t₀) + p, and the heap orders jobs by
 // (completion target, sequence number).
-//
-//rrlint:hotpath
 func runRRStepped(r *rrRun, opts core.Options) error {
 	cur := r.cur
 	if !cur.More() {

@@ -171,8 +171,6 @@ func (r *topmRun) keyFor(j core.Job) float64 {
 // coarse epochs. Event counting, context polling and floating-point
 // expressions replicate runStepped (topm_stepped.go) precisely; the
 // property wall in internal/check holds the two byte-identical.
-//
-//rrlint:hotpath
 func (r *topmRun) run(opts core.Options) error {
 	if steppedAdvance.Load() {
 		return r.runStepped(opts)

@@ -11,8 +11,6 @@ import (
 // differential baseline for topmRun.run's batched drain, exactly as
 // runRRStepped is for the RR paths. SetSteppedAdvance(true) routes runs
 // here; the property wall in internal/check holds the two byte-identical.
-//
-//rrlint:hotpath
 func (r *topmRun) runStepped(opts core.Options) error {
 	cur, s := r.cur, r.s
 	m, sp := opts.Machines, opts.Speed

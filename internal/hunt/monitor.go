@@ -294,8 +294,6 @@ func (s *StreamMonitor) add(format string, args ...any) {
 func tolBand(x float64) float64 { return 1e-6 * (1 + math.Abs(x)) }
 
 // ObserveArrival implements core.Observer.
-//
-//rrlint:coldpath opt-in anomaly diagnostics; reporting boxes its message arguments
 func (s *StreamMonitor) ObserveArrival(t float64, job int, j core.Job) {
 	for len(s.release) <= job {
 		s.release = append(s.release, 0)
@@ -312,8 +310,6 @@ func (s *StreamMonitor) ObserveArrival(t float64, job int, j core.Job) {
 
 // ObserveEpoch implements core.Observer. Only scalar fields are read —
 // engine-owned slices are neither touched nor retained.
-//
-//rrlint:coldpath opt-in anomaly diagnostics; reporting boxes its message arguments
 func (s *StreamMonitor) ObserveEpoch(e *core.Epoch) {
 	if e.End < e.Start {
 		s.add("epoch reversed [%.9g, %.9g)", e.Start, e.End)
@@ -333,8 +329,6 @@ func (s *StreamMonitor) ObserveEpoch(e *core.Epoch) {
 }
 
 // ObserveCompletion implements core.Observer.
-//
-//rrlint:coldpath opt-in anomaly diagnostics; reporting boxes its message arguments
 func (s *StreamMonitor) ObserveCompletion(t float64, job int, flow float64) {
 	s.completes++
 	if job < 0 || job >= len(s.release) {

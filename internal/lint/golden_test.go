@@ -125,28 +125,19 @@ func diagList(ds []Diagnostic) string {
 }
 
 // TestTreeIsLintClean runs the full suite with real scopes over the whole
-// module, subtracting the checked-in baseline exactly as `make verify`
-// does: the tree-wide audit fixed or baselined every finding, and this
-// keeps it that way. A failure here means newly added code broke a
-// determinism, cancellation, ownership or zero-alloc invariant (or needs a
-// justified //rrlint:ignore), and a stale-baseline failure means a recorded
-// finding was fixed — prune it with `make lint-baseline`.
+// module exactly as `make verify` does: the tree-wide audit fixed every
+// finding, and this keeps it that way. A failure here means newly added
+// code broke a determinism, cancellation or ownership invariant (or needs
+// a justified //rrlint:ignore).
 func TestTreeIsLintClean(t *testing.T) {
 	m := loadTestModule(t)
 	pkgs, err := m.All()
 	if err != nil {
 		t.Fatalf("loading module packages: %v", err)
 	}
-	baseline, err := LoadBaseline(filepath.Join(m.Dir, "internal", "lint", "testdata", "lint.baseline"))
-	if err != nil {
-		t.Fatalf("loading baseline: %v", err)
-	}
-	res := RunPackages(m, pkgs, RunConfig{Baseline: baseline})
+	res := RunPackages(m, pkgs, RunConfig{})
 	for _, d := range res.Diagnostics {
 		t.Errorf("%s", d)
-	}
-	for _, stale := range res.BaselineStale {
-		t.Errorf("stale baseline entry (already fixed — run `make lint-baseline` to prune): %s", stale)
 	}
 	if len(pkgs) < 30 {
 		t.Errorf("walked only %d packages; the module walk looks broken", len(pkgs))

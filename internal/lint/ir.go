@@ -7,13 +7,12 @@ import (
 )
 
 // This file is the intraprocedural dataflow layer the flow-sensitive
-// analyzers (wsescape, hotalloc, gocapture) consume instead of raw AST
-// walks (DESIGN.md §16). A FuncIR is a per-function control-flow graph
-// over the function's statements, plus def-use chains resolved through
-// go/types objects and a reaching-definitions solution over the CFG.
-// On top of those, SolveDefs runs an analyzer-supplied monotone transfer
-// function to a fixpoint — the escape/provenance lattices are instances
-// of it with different seeds.
+// analyzers (wsescape, gocapture) consume instead of raw AST walks
+// (DESIGN.md §16). A FuncIR is a per-function control-flow graph over the
+// function's statements, plus def-use chains resolved through go/types
+// objects and a reaching-definitions solution over the CFG. On top of
+// those, SolveDefs runs an analyzer-supplied monotone transfer function to
+// a fixpoint — wsescape's escape lattice is one instance of it.
 //
 // IRs are built lazily (per function, on first request) and memoized on
 // the run's Index, so a whole-module pass type-checks once and builds IR
@@ -736,9 +735,8 @@ func (ir *FuncIR) StmtReaches(a, b ast.Stmt) bool {
 // an identifier use to the join (OR) of the values of the definitions
 // reaching the use's statement; it must be monotone in the lookup (more
 // tainted inputs never make the output clean), which guarantees
-// termination. Typical instances: the wsescape escape lattice (seed:
-// RunWS calls; launder: Clone) and the hotalloc provenance lattice
-// (seed: parameters/receivers and truncation reslices).
+// termination. Typical instance: the wsescape escape lattice (seed:
+// RunWS calls; launder: Clone).
 func (ir *FuncIR) SolveDefs(eval func(d *Def, lookup func(id *ast.Ident) bool) bool) map[*Def]bool {
 	val := make(map[*Def]bool, len(ir.Defs))
 	lookupAt := func(stmt ast.Stmt) func(id *ast.Ident) bool {

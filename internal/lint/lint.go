@@ -53,8 +53,8 @@ type Analyzer struct {
 }
 
 // Analyzers returns the full analyzer suite in its canonical order. The
-// first seven are the syntactic suite; wsescape, hotalloc and gocapture
-// are the dataflow analyzers built on the CFG/callgraph IR (DESIGN.md §16).
+// first seven are the syntactic suite; wsescape and gocapture are the
+// dataflow analyzers built on the CFG IR (DESIGN.md §16).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		mapiterAnalyzer,
@@ -65,7 +65,6 @@ func Analyzers() []*Analyzer {
 		poolputAnalyzer,
 		obsretainAnalyzer,
 		wsescapeAnalyzer,
-		hotallocAnalyzer,
 		gocaptureAnalyzer,
 	}
 }
@@ -95,8 +94,8 @@ func scopePkgs(rels ...string) func(modPath, pkgPath string) bool {
 }
 
 // Pass is one (analyzer, package) execution. Index is shared by every
-// pass of the run; it carries the lazily-built dataflow IRs and the CHA
-// callgraph the flow-sensitive analyzers consume.
+// pass of the run; it carries the lazily-built dataflow IRs the
+// flow-sensitive analyzers consume.
 type Pass struct {
 	Module *Module
 	Pkg    *Package
@@ -152,27 +151,20 @@ func (p *Pass) pkgNameOf(id *ast.Ident) string {
 
 // Result is a whole run's outcome — the JSON document `rrlint -json`
 // prints. Suppressed counts diagnostics silenced by valid
-// //rrlint:ignore comments; Baselined counts diagnostics subtracted by
-// the -baseline snapshot; neither appears in Diagnostics. BaselineStale
-// lists baseline entries that matched nothing — findings already fixed,
-// ready to be pruned from the file.
+// //rrlint:ignore comments, which do not appear in Diagnostics.
 type Result struct {
-	Module        string       `json:"module"`
-	Packages      int          `json:"packages"`
-	Diagnostics   []Diagnostic `json:"diagnostics"`
-	Suppressed    int          `json:"suppressed"`
-	Baselined     int          `json:"baselined"`
-	BaselineStale []string     `json:"baseline_stale,omitempty"`
+	Module      string       `json:"module"`
+	Packages    int          `json:"packages"`
+	Diagnostics []Diagnostic `json:"diagnostics"`
+	Suppressed  int          `json:"suppressed"`
 }
 
 // RunConfig selects the analyzers for a run. IgnoreScope runs every
 // analyzer on every package regardless of its Scope — the golden
 // self-tests use it to point an analyzer at its fixture package.
-// Baseline, when set, subtracts its recorded findings from the result.
 type RunConfig struct {
 	Analyzers   []*Analyzer
 	IgnoreScope bool
-	Baseline    *Baseline
 }
 
 // RunPackages executes the configured analyzers over the given packages,
@@ -186,7 +178,7 @@ func RunPackages(m *Module, pkgs []*Package, cfg RunConfig) *Result {
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	idx := newIndex(m, pkgs)
+	idx := newIndex(pkgs)
 	var raw []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -223,7 +215,6 @@ func RunPackages(m *Module, pkgs []*Package, cfg RunConfig) *Result {
 		}
 		return x.Message < y.Message
 	})
-	cfg.Baseline.apply(res)
 	return res
 }
 

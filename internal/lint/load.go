@@ -29,8 +29,6 @@ type LoadError struct {
 }
 
 // Error renders the failure for the driver's stderr.
-//
-//rrlint:coldpath load-failure rendering; a LoadError aborts the run before any engine loop starts
 func (e *LoadError) Error() string {
 	if e.Pos != "" {
 		return fmt.Sprintf("lint: package %s failed to load: %s: %s", e.Pkg, e.Pos, e.Msg)

@@ -136,7 +136,7 @@ func TestResultJSON(t *testing.T) {
 }
 
 // TestDataflowSuppression pins //rrlint:ignore semantics for the
-// dataflow analyzers (wsescape, hotalloc, gocapture) over the suppressdf
+// dataflow analyzers (wsescape, gocapture) over the suppressdf
 // fixture: statement-level directives silence exactly their own line pair,
 // doc-comment directives silence the whole function, and each analyzer's
 // unsuppressed sibling finding survives — so the directives are neither
@@ -151,7 +151,7 @@ func TestDataflowSuppression(t *testing.T) {
 	var dataflow []*Analyzer
 	for _, a := range Analyzers() {
 		switch a.Name {
-		case "wsescape", "hotalloc", "gocapture":
+		case "wsescape", "gocapture":
 			dataflow = append(dataflow, a)
 		}
 	}
@@ -160,11 +160,10 @@ func TestDataflowSuppression(t *testing.T) {
 		IgnoreScope: true,
 	})
 
-	// 3 wsescape (1 statement + 2 function-level) + 2 hotalloc (statement
-	// in hotLoop + function-level in hotReport) + 2 gocapture (statement
+	// 3 wsescape (1 statement + 2 function-level) + 2 gocapture (statement
 	// in the closure + function-level on launchFuncLevel).
-	if res.Suppressed != 7 {
-		t.Errorf("Suppressed = %d, want 7", res.Suppressed)
+	if res.Suppressed != 5 {
+		t.Errorf("Suppressed = %d, want 5", res.Suppressed)
 	}
 
 	// One unsuppressed sibling per analyzer must survive.
@@ -172,12 +171,12 @@ func TestDataflowSuppression(t *testing.T) {
 	for _, d := range res.Diagnostics {
 		survivors[d.Check]++
 	}
-	for _, check := range []string{"wsescape", "hotalloc", "gocapture"} {
+	for _, check := range []string{"wsescape", "gocapture"} {
 		if survivors[check] != 1 {
 			t.Errorf("%s: %d surviving diagnostics, want 1: %s", check, survivors[check], diagList(res.Diagnostics))
 		}
 	}
-	if len(res.Diagnostics) != 3 {
-		t.Errorf("got %d surviving diagnostics, want 3: %s", len(res.Diagnostics), diagList(res.Diagnostics))
+	if len(res.Diagnostics) != 2 {
+		t.Errorf("got %d surviving diagnostics, want 2: %s", len(res.Diagnostics), diagList(res.Diagnostics))
 	}
 }

@@ -1,13 +1,11 @@
 // Package suppressdf exercises //rrlint:ignore semantics for the dataflow
-// analyzers (wsescape, hotalloc, gocapture): statement-level directives on
+// analyzers (wsescape, gocapture): statement-level directives on
 // the diagnostic's line, function-level directives in doc comments, and
 // unsuppressed siblings proving the directives are not over-broad. Driven
 // by TestDataflowSuppression rather than want annotations.
 package suppressdf
 
 import (
-	"fmt"
-
 	"rrnorm/internal/core"
 	"rrnorm/internal/policy"
 )
@@ -35,30 +33,6 @@ func storeFuncLevel(in *core.Instance) {
 	res, _ := core.RunWS(in, policy.NewRR(), core.Options{}, ws)
 	sink = res
 	sink = res
-}
-
-// hotLoop is a hotpath root with one suppressed and one surviving
-// allocation, plus a call making hotReport hot-reachable.
-//
-//rrlint:hotpath
-func hotLoop(n int) int {
-	total := 0
-	for i := 0; i < n; i++ {
-		//rrlint:ignore hotalloc the buffer is handed to the caller, which amortizes it
-		buf := make([]int, n)
-		total += len(buf)
-		extra := make([]byte, n) // survives
-		total += len(extra) + len(hotReport(i))
-	}
-	return total
-}
-
-// hotReport is hot-reachable from hotLoop but wholesale exempt: reporting
-// formats its message and that is accepted here.
-//
-//rrlint:ignore hotalloc diagnostic rendering; the allocation is the point
-func hotReport(n int) string {
-	return fmt.Sprintf("n=%d", n)
 }
 
 // launchSuppressed: statement-level directive inside the closure silences

@@ -26,7 +26,7 @@ import (
 type Gittins struct {
 	step  float64
 	ranks []float64
-	buf   rankBuf
+	rank  byKey
 }
 
 // NewGittins builds the policy from a CDF on [0, sup] (F(sup) ≈ 1) using
@@ -113,20 +113,7 @@ func (*Gittins) Clairvoyant() bool { return false }
 
 // Rates implements core.Policy.
 func (g *Gittins) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	n := len(jobs)
-	rank := make([]float64, n)
-	for i, j := range jobs {
-		rank[i] = g.Rank(j.Elapsed)
-	}
-	g.buf.topM(n, m, rates, func(a, b int) bool {
-		if rank[a] != rank[b] {
-			return rank[a] > rank[b] // highest index first
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
+	g.order(jobs).topM(m, rates)
 	// Ranks drift with attained service; re-plan on a coarse horizon
 	// proportional to the grid step so crossings are caught promptly.
 	return 4 * g.step / math.Max(speed, 1e-9)
@@ -136,21 +123,19 @@ func (g *Gittins) Rates(now float64, jobs []core.JobView, m int, speed float64, 
 // Gittins index runs on the i-th fastest machine; the review horizon is
 // scaled to the fastest machine so grid crossings are still caught.
 func (g *Gittins) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	n := len(jobs)
-	rank := make([]float64, n)
-	for i, j := range jobs {
-		rank[i] = g.Rank(j.Elapsed)
-	}
-	g.buf.topMEnv(n, env, rates, func(a, b int) bool {
-		if rank[a] != rank[b] {
-			return rank[a] > rank[b] // highest index first
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
+	g.order(jobs).topMEnv(env, rates)
 	return 4 * g.step / math.Max(env.MaxSpeed()*env.Speed, 1e-9)
+}
+
+// order ranks jobs by Gittins index, highest first, then release, then
+// ID. The key is the negated index: negation is exact, so ascending keys
+// are exactly descending indices.
+func (g *Gittins) order(jobs []core.JobView) *byKey {
+	key := g.rank.keys(jobs)
+	for i, j := range jobs {
+		key[i] = -g.Rank(j.Elapsed)
+	}
+	return &g.rank
 }
 
 // MonotoneKind classifies the rank curve: -1 decreasing (SETF-like),

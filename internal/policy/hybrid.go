@@ -38,7 +38,35 @@ type Hybrid struct {
 	// SRPT ranking; 0 disables starvation mitigation.
 	Starve float64
 
-	srpt rankBuf
+	srpt hybridOrder
+}
+
+// hybridOrder is Hybrid's mitigation-adjusted SRPT ranking for
+// sort.Stable: promoted jobs first in FCFS (index) order, then the rest by
+// (Remaining, index). The promotion flags are computed once per pass into
+// promoted; like byKey, the sorter lives on the policy and grows once.
+type hybridOrder struct {
+	idx      []int
+	promoted []bool
+	jobs     []core.JobView
+}
+
+func (s *hybridOrder) Len() int      { return len(s.idx) }
+func (s *hybridOrder) Swap(x, y int) { s.idx[x], s.idx[y] = s.idx[y], s.idx[x] }
+
+func (s *hybridOrder) Less(x, y int) bool {
+	a, b := s.idx[x], s.idx[y]
+	pa, pb := s.promoted[a], s.promoted[b]
+	if pa != pb {
+		return pa
+	}
+	if pa { // both promoted: FCFS among themselves
+		return a < b
+	}
+	if s.jobs[a].Remaining != s.jobs[b].Remaining {
+		return s.jobs[a].Remaining < s.jobs[b].Remaining
+	}
+	return a < b
 }
 
 // NewHybrid returns a Hybrid with the given FCFS weight and starvation
@@ -67,47 +95,54 @@ func (p *Hybrid) promoted(j core.JobView) bool {
 	return p.Starve > 0 && j.Age >= p.Starve
 }
 
-// srptOrder fills p.srpt.idx with the mitigation-adjusted SRPT ranking:
+// srptOrder fills p.srpt with the mitigation-adjusted SRPT ranking:
 // promoted jobs first in FCFS order, then the rest by (Remaining, Release,
 // ID). jobs arrive ordered by (Release, ID), so index order is FCFS order.
 func (p *Hybrid) srptOrder(jobs []core.JobView) []int {
+	s := &p.srpt
 	n := len(jobs)
-	if cap(p.srpt.idx) < n {
-		p.srpt.idx = make([]int, n)
+	if cap(s.idx) < n {
+		s.idx = make([]int, n)
+		s.promoted = make([]bool, n)
 	}
-	p.srpt.idx = p.srpt.idx[:n]
-	for i := range p.srpt.idx {
-		p.srpt.idx[i] = i
+	s.idx = s.idx[:n]
+	s.promoted = s.promoted[:n]
+	for i, j := range jobs {
+		s.idx[i] = i
+		s.promoted[i] = p.promoted(j)
 	}
-	sort.SliceStable(p.srpt.idx, func(x, y int) bool {
-		a, b := p.srpt.idx[x], p.srpt.idx[y]
-		pa, pb := p.promoted(jobs[a]), p.promoted(jobs[b])
-		if pa != pb {
-			return pa
-		}
-		if pa { // both promoted: FCFS among themselves
-			return a < b
-		}
-		if jobs[a].Remaining != jobs[b].Remaining {
-			return jobs[a].Remaining < jobs[b].Remaining
-		}
-		return a < b
-	})
-	return p.srpt.idx
+	s.jobs = jobs
+	sort.Stable(s)
+	s.jobs = nil
+	return s.idx
 }
 
-// blend writes the convex-combination rates given the SRPT ranking and a
-// rank→capacity mapping, then returns the re-plan horizon.
-func (p *Hybrid) blend(jobs []core.JobView, order []int, rankCap func(r int) float64, speed float64, rates []float64) float64 {
+// rankCap is the capacity of the r-th ranked job's machine: a full machine
+// for r < m on identical machines (env == nil), the r-th fastest speed
+// under a heterogeneous env.
+func rankCap(r, m int, env *core.MachineEnv) float64 {
+	if env != nil {
+		return env.RankSpeed(r)
+	}
+	if r < m {
+		return 1
+	}
+	return 0
+}
+
+// blend writes the convex-combination rates given the SRPT ranking and the
+// machines (m identical ones, or env when non-nil), then returns the
+// re-plan horizon.
+func (p *Hybrid) blend(jobs []core.JobView, order []int, m int, env *core.MachineEnv, speed float64, rates []float64) float64 {
 	n := len(jobs)
 	θ := p.Theta
 	// FCFS rank of job i is i: the engine provides jobs in (Release, ID)
 	// order (the same assumption LAPS makes).
 	for i := 0; i < n; i++ {
-		rates[i] = θ * rankCap(i)
+		rates[i] = θ * rankCap(i, m, env)
 	}
 	for r, i := range order {
-		rates[i] += (1 - θ) * rankCap(r)
+		rates[i] += (1 - θ) * rankCap(r, m, env)
 	}
 
 	horizon := math.Inf(1)
@@ -147,18 +182,11 @@ func (p *Hybrid) blend(jobs []core.JobView, order []int, rankCap func(r int) flo
 
 // Rates implements core.Policy.
 func (p *Hybrid) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	order := p.srptOrder(jobs)
-	return p.blend(jobs, order, func(r int) float64 {
-		if r < m {
-			return 1
-		}
-		return 0
-	}, speed, rates)
+	return p.blend(jobs, p.srptOrder(jobs), m, nil, speed, rates)
 }
 
 // RatesEnv implements core.MachineAware: each ranking assigns its r-th job
 // the r-th fastest machine's speed before blending.
 func (p *Hybrid) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	order := p.srptOrder(jobs)
-	return p.blend(jobs, order, env.RankSpeed, env.Speed, rates)
+	return p.blend(jobs, p.srptOrder(jobs), 0, env, env.Speed, rates)
 }

@@ -17,7 +17,7 @@ type MLFQ struct {
 	// BaseQuantum is q0 > 0, the level-0 quantum.
 	BaseQuantum float64
 
-	buf rankBuf
+	rank byKey
 }
 
 // NewMLFQ returns an MLFQ with the given base quantum.
@@ -47,28 +47,31 @@ func (p *MLFQ) levelEnd(q int) float64 {
 
 // Rates implements core.Policy.
 func (p *MLFQ) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	n := len(jobs)
-	levels := make([]int, n)
+	p.order(jobs).topM(m, rates)
+	return p.demotion(jobs, rates, speed)
+}
+
+// order ranks jobs by queue level, then release, then ID. The level column
+// is the sort key, kept as float64 (levels are small integers, so the
+// conversion is exact and the order unchanged).
+func (p *MLFQ) order(jobs []core.JobView) *byKey {
+	key := p.rank.keys(jobs)
 	for i, j := range jobs {
-		levels[i] = p.level(j.Elapsed)
+		key[i] = float64(p.level(j.Elapsed))
 	}
-	p.buf.topM(n, m, rates, func(a, b int) bool {
-		if levels[a] != levels[b] {
-			return levels[a] < levels[b]
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	// Horizon: the first moment a running job crosses its level threshold
-	// and gets demoted.
+	return &p.rank
+}
+
+// demotion returns the review horizon: the first moment a running job
+// crosses its level threshold and gets demoted, with a job at rate r
+// gaining elapsed work at r·speed. It reads the levels order just wrote.
+func (p *MLFQ) demotion(jobs []core.JobView, rates []float64, speed float64) float64 {
 	horizon := math.Inf(1)
 	for i := range jobs {
 		if rates[i] <= 0 {
 			continue
 		}
-		gap := p.levelEnd(levels[i]) - jobs[i].Elapsed
+		gap := p.levelEnd(int(p.rank.key[i])) - jobs[i].Elapsed
 		if gap <= 1e-12 {
 			continue
 		}
@@ -86,35 +89,6 @@ func (p *MLFQ) Rates(now float64, jobs []core.JobView, m int, speed float64, rat
 // priority, with the k-th ranked job on the k-th fastest machine; the
 // demotion horizon accounts for each job's machine-dependent work rate.
 func (p *MLFQ) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	n := len(jobs)
-	levels := make([]int, n)
-	for i, j := range jobs {
-		levels[i] = p.level(j.Elapsed)
-	}
-	p.buf.topMEnv(n, env, rates, func(a, b int) bool {
-		if levels[a] != levels[b] {
-			return levels[a] < levels[b]
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	horizon := math.Inf(1)
-	for i := range jobs {
-		if rates[i] <= 0 {
-			continue
-		}
-		gap := p.levelEnd(levels[i]) - jobs[i].Elapsed
-		if gap <= 1e-12 {
-			continue
-		}
-		if h := gap / (rates[i] * env.Speed); h < horizon {
-			horizon = h
-		}
-	}
-	if math.IsInf(horizon, 1) {
-		return core.NoHorizon
-	}
-	return horizon
+	p.order(jobs).topMEnv(env, rates)
+	return p.demotion(jobs, rates, env.Speed)
 }

@@ -309,7 +309,7 @@ func TestWaterfillProperties(t *testing.T) {
 			M = float64(len(weights))
 		}
 		rates := make([]float64, len(weights))
-		waterfill(weights, M, rates)
+		waterfill(weights, M, rates, make([]bool, len(weights)))
 		sum := 0.0
 		for _, r := range rates {
 			if r < -1e-9 || r > 1+1e-9 {
@@ -328,7 +328,7 @@ func TestWaterfillProperties(t *testing.T) {
 func TestWaterfillUncappedProportionality(t *testing.T) {
 	weights := []float64{1, 2, 3}
 	rates := make([]float64, 3)
-	waterfill(weights, 1.2, rates)
+	waterfill(weights, 1.2, rates, make([]bool, 3))
 	approx(t, rates[0], 0.2, 1e-12, "w=1")
 	approx(t, rates[1], 0.4, 1e-12, "w=2")
 	approx(t, rates[2], 0.6, 1e-12, "w=3")
@@ -337,7 +337,7 @@ func TestWaterfillUncappedProportionality(t *testing.T) {
 func TestWaterfillAllZeroWeights(t *testing.T) {
 	weights := []float64{0, 0, 0, 0}
 	rates := make([]float64, 4)
-	waterfill(weights, 2, rates)
+	waterfill(weights, 2, rates, make([]bool, 4))
 	for _, r := range rates {
 		approx(t, r, 0.5, 1e-12, "equal split fallback")
 	}

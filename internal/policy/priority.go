@@ -14,7 +14,7 @@ import (
 // ties break by (Release, ID).
 type StaticPriority struct {
 	prio map[int]float64
-	buf  rankBuf
+	rank byKey
 }
 
 // NewStaticPriority builds the policy from a job-ID → priority map (lower
@@ -42,43 +42,22 @@ func (*StaticPriority) Clairvoyant() bool { return true }
 
 // Rates implements core.Policy.
 func (p *StaticPriority) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	pr := func(i int) float64 {
-		if v, ok := p.prio[jobs[i].ID]; ok {
-			return v
-		}
-		return math.Inf(1)
-	}
-	p.buf.topM(len(jobs), m, rates, func(a, b int) bool {
-		pa, pb := pr(a), pr(b)
-		if pa != pb {
-			return pa < pb
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
+	p.order(jobs).topM(m, rates)
 	return core.NoHorizon
 }
 
 // RatesEnv implements core.MachineAware: the k-th ranked job runs on the
 // k-th fastest machine.
 func (p *StaticPriority) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	pr := func(i int) float64 {
-		if v, ok := p.prio[jobs[i].ID]; ok {
-			return v
-		}
-		return math.Inf(1)
-	}
-	p.buf.topMEnv(len(jobs), env, rates, func(a, b int) bool {
-		pa, pb := pr(a), pr(b)
-		if pa != pb {
-			return pa < pb
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
+	p.order(jobs).topMEnv(env, rates)
 	return core.NoHorizon
+}
+
+// order ranks jobs by priority, then release, then ID.
+func (p *StaticPriority) order(jobs []core.JobView) *byKey {
+	key := p.rank.keys(jobs)
+	for i, j := range jobs {
+		key[i] = p.PriorityOf(j.ID)
+	}
+	return &p.rank
 }

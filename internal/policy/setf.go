@@ -2,7 +2,6 @@ package policy
 
 import (
 	"math"
-	"sort"
 
 	"rrnorm/internal/core"
 )
@@ -20,16 +19,16 @@ import (
 // group catches a slower one; SETF returns that exact catch-up moment as its
 // review horizon.
 type SETF struct {
-	idx    []int
+	rank   byKey
 	groups []setfGroup
 }
 
-// setfGroup is one elapsed-level tier of the water-fill: a run of p.idx
-// sharing an elapsed level and the rate that level received. The slice
-// lives on the policy so Rates appends into reused backing instead of
-// growing a fresh one every call.
+// setfGroup is one elapsed-level tier of the water-fill: a run of the
+// elapsed ranking sharing an elapsed level and the rate that level
+// received. The slice lives on the policy so Rates appends into reused
+// backing instead of growing a fresh one every call.
 type setfGroup struct {
-	start, end int // [start, end) in p.idx
+	start, end int // [start, end) in the ranking
 	elapsed    float64
 	rate       float64
 }
@@ -46,38 +45,22 @@ func (*SETF) Clairvoyant() bool { return false }
 // Rates implements core.Policy.
 func (p *SETF) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
 	n := len(jobs)
-	if cap(p.idx) < n {
-		p.idx = make([]int, n)
-	}
-	p.idx = p.idx[:n]
-	for i := range p.idx {
-		p.idx[i] = i
-	}
-	sort.SliceStable(p.idx, func(x, y int) bool {
-		a, b := p.idx[x], p.idx[y]
-		if jobs[a].Elapsed != jobs[b].Elapsed {
-			return jobs[a].Elapsed < jobs[b].Elapsed
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
+	idx := p.order(jobs)
 
 	// Group by elapsed level and water-fill capacity m in elapsed order.
 	capLeft := float64(m)
 	groups := p.groups[:0]
 	for s := 0; s < n; {
-		e := jobs[p.idx[s]].Elapsed
+		e := jobs[idx[s]].Elapsed
 		t := s + 1
-		for t < n && sameElapsed(jobs[p.idx[t]].Elapsed, e) {
+		for t < n && sameElapsed(jobs[idx[t]].Elapsed, e) {
 			t++
 		}
 		g := float64(t - s)
 		alloc := math.Min(g, capLeft)
 		rate := alloc / g
 		for k := s; k < t; k++ {
-			rates[p.idx[k]] = rate
+			rates[idx[k]] = rate
 		}
 		capLeft -= alloc
 		groups = append(groups, setfGroup{start: s, end: t, elapsed: e, rate: rate})
@@ -113,37 +96,21 @@ func (p *SETF) Rates(now float64, jobs []core.JobView, m int, speed float64, rat
 // min(g, capLeft)/g.
 func (p *SETF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	n := len(jobs)
-	if cap(p.idx) < n {
-		p.idx = make([]int, n)
-	}
-	p.idx = p.idx[:n]
-	for i := range p.idx {
-		p.idx[i] = i
-	}
-	sort.SliceStable(p.idx, func(x, y int) bool {
-		a, b := p.idx[x], p.idx[y]
-		if jobs[a].Elapsed != jobs[b].Elapsed {
-			return jobs[a].Elapsed < jobs[b].Elapsed
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
+	idx := p.order(jobs)
 
 	filled := 0.0 // fractional machines already devoted to faster tiers
 	groups := p.groups[:0]
 	for s := 0; s < n; {
-		e := jobs[p.idx[s]].Elapsed
+		e := jobs[idx[s]].Elapsed
 		t := s + 1
-		for t < n && sameElapsed(jobs[p.idx[t]].Elapsed, e) {
+		for t < n && sameElapsed(jobs[idx[t]].Elapsed, e) {
 			t++
 		}
 		g := float64(t - s)
 		alloc := env.ProfileIntegral(filled+g) - env.ProfileIntegral(filled)
 		rate := alloc / g
 		for k := s; k < t; k++ {
-			rates[p.idx[k]] = rate
+			rates[idx[k]] = rate
 		}
 		filled += g
 		groups = append(groups, setfGroup{start: s, end: t, elapsed: e, rate: rate})
@@ -166,6 +133,15 @@ func (p *SETF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, 
 		return core.NoHorizon
 	}
 	return horizon
+}
+
+// order ranks jobs by elapsed time, then release, then ID.
+func (p *SETF) order(jobs []core.JobView) []int {
+	key := p.rank.keys(jobs)
+	for i, j := range jobs {
+		key[i] = j.Elapsed
+	}
+	return p.rank.sort()
 }
 
 // sameElapsed groups elapsed levels with a relative tolerance so that jobs

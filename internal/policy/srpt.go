@@ -8,7 +8,7 @@ import "rrnorm/internal/core"
 // ((1+ε)-speed O(1)-competitive) for ℓk-norms on identical machines
 // (Bansal–Pruhs; Fox–Moseley — the paper's Related Work). Ties are broken
 // by earlier release, then smaller ID, for determinism.
-type SRPT struct{ buf rankBuf }
+type SRPT struct{ rank byKey }
 
 // NewSRPT returns a new SRPT policy.
 func NewSRPT() *SRPT { return &SRPT{} }
@@ -19,29 +19,25 @@ func (*SRPT) Name() string { return "SRPT" }
 // Clairvoyant implements core.Policy.
 func (*SRPT) Clairvoyant() bool { return true }
 
-// srptLess orders by remaining work, breaking ties by release then ID.
-func srptLess(jobs []core.JobView) func(a, b int) bool {
-	return func(a, b int) bool {
-		if jobs[a].Remaining != jobs[b].Remaining {
-			return jobs[a].Remaining < jobs[b].Remaining
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
+// order ranks jobs by remaining work, breaking ties by release then ID.
+func (p *SRPT) order(jobs []core.JobView) *byKey {
+	key := p.rank.keys(jobs)
+	for i, j := range jobs {
+		key[i] = j.Remaining
 	}
+	return &p.rank
 }
 
 // Rates implements core.Policy.
 func (p *SRPT) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.buf.topM(len(jobs), m, rates, srptLess(jobs))
+	p.order(jobs).topM(m, rates)
 	return core.NoHorizon
 }
 
 // RatesEnv implements core.MachineAware: the k-th shortest job runs on the
 // k-th fastest machine.
 func (p *SRPT) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.buf.topMEnv(len(jobs), env, rates, srptLess(jobs))
+	p.order(jobs).topMEnv(env, rates)
 	return core.NoHorizon
 }
 
@@ -49,7 +45,7 @@ func (p *SRPT) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, 
 // original size each receive a full machine. Clairvoyant; one of the
 // policies shown O(1)-speed O(1)-competitive for ℓ2-norm flow by
 // Bansal–Pruhs, cited throughout the paper.
-type SJF struct{ buf rankBuf }
+type SJF struct{ rank byKey }
 
 // NewSJF returns a new SJF policy.
 func NewSJF() *SJF { return &SJF{} }
@@ -60,28 +56,24 @@ func (*SJF) Name() string { return "SJF" }
 // Clairvoyant implements core.Policy.
 func (*SJF) Clairvoyant() bool { return true }
 
-// sjfLess orders by original size, breaking ties by release then ID.
-func sjfLess(jobs []core.JobView) func(a, b int) bool {
-	return func(a, b int) bool {
-		if jobs[a].Size != jobs[b].Size {
-			return jobs[a].Size < jobs[b].Size
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
+// order ranks jobs by original size, breaking ties by release then ID.
+func (p *SJF) order(jobs []core.JobView) *byKey {
+	key := p.rank.keys(jobs)
+	for i, j := range jobs {
+		key[i] = j.Size
 	}
+	return &p.rank
 }
 
 // Rates implements core.Policy.
 func (p *SJF) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.buf.topM(len(jobs), m, rates, sjfLess(jobs))
+	p.order(jobs).topM(m, rates)
 	return core.NoHorizon
 }
 
 // RatesEnv implements core.MachineAware.
 func (p *SJF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.buf.topMEnv(len(jobs), env, rates, sjfLess(jobs))
+	p.order(jobs).topMEnv(env, rates)
 	return core.NoHorizon
 }
 
@@ -89,7 +81,7 @@ func (p *SJF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, r
 // receive a full machine. Non-clairvoyant and non-preemptive in effect on a
 // single machine; included as the classic no-fairness-no-preemption
 // baseline.
-type FCFS struct{ buf rankBuf }
+type FCFS struct{ rank byKey }
 
 // NewFCFS returns a new FCFS policy.
 func NewFCFS() *FCFS { return &FCFS{} }
@@ -100,27 +92,24 @@ func (*FCFS) Name() string { return "FCFS" }
 // Clairvoyant implements core.Policy.
 func (*FCFS) Clairvoyant() bool { return false }
 
-// fcfsLess orders by release then ID.
-func fcfsLess(jobs []core.JobView) func(a, b int) bool {
-	return func(a, b int) bool {
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	}
+// order ranks jobs by release then ID: every key is 0, so byKey's
+// (Release, ID) tie-break decides.
+func (p *FCFS) order(jobs []core.JobView) *byKey {
+	clear(p.rank.keys(jobs))
+	return &p.rank
 }
 
 // Rates implements core.Policy.
 func (p *FCFS) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
 	// jobs arrive ordered by (Release, ID) already; keep the explicit
-	// comparator for robustness against future engine changes.
-	p.buf.topM(len(jobs), m, rates, fcfsLess(jobs))
+	// ranking for robustness against future engine changes.
+	p.order(jobs).topM(m, rates)
 	return core.NoHorizon
 }
 
 // RatesEnv implements core.MachineAware: the k-th oldest job runs on the
 // k-th fastest machine.
 func (p *FCFS) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.buf.topMEnv(len(jobs), env, rates, fcfsLess(jobs))
+	p.order(jobs).topMEnv(env, rates)
 	return core.NoHorizon
 }

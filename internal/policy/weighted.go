@@ -10,7 +10,7 @@ import (
 // remaining-work-to-weight ratio each get a full machine — the natural
 // clairvoyant heuristic for weighted flow objectives (the setting of the
 // Anand–Garg–Kumar dual-fitting work the paper builds on).
-type WSRPT struct{ buf rankBuf }
+type WSRPT struct{ rank byKey }
 
 // NewWSRPT returns a weighted SRPT policy.
 func NewWSRPT() *WSRPT { return &WSRPT{} }
@@ -21,36 +21,31 @@ func (*WSRPT) Name() string { return "WSRPT" }
 // Clairvoyant implements core.Policy.
 func (*WSRPT) Clairvoyant() bool { return true }
 
-// wsrptLess orders by remaining-work-to-weight ratio, then release, then ID.
-func wsrptLess(jobs []core.JobView) func(a, b int) bool {
-	return func(a, b int) bool {
-		da := jobs[a].Remaining / weightOf(jobs[a])
-		db := jobs[b].Remaining / weightOf(jobs[b])
-		if da != db {
-			return da < db
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
+// order ranks jobs by remaining-work-to-weight ratio, then release, then
+// ID.
+func (p *WSRPT) order(jobs []core.JobView) *byKey {
+	key := p.rank.keys(jobs)
+	for i, j := range jobs {
+		key[i] = j.Remaining / weightOf(j)
 	}
+	return &p.rank
 }
 
 // Rates implements core.Policy.
 func (p *WSRPT) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.buf.topM(len(jobs), m, rates, wsrptLess(jobs))
+	p.order(jobs).topM(m, rates)
 	return core.NoHorizon
 }
 
 // RatesEnv implements core.MachineAware.
 func (p *WSRPT) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.buf.topMEnv(len(jobs), env, rates, wsrptLess(jobs))
+	p.order(jobs).topMEnv(env, rates)
 	return core.NoHorizon
 }
 
 // WSJF is weighted SJF (highest-density first): the m alive jobs with the
 // smallest size-to-weight ratio each get a full machine.
-type WSJF struct{ buf rankBuf }
+type WSJF struct{ rank byKey }
 
 // NewWSJF returns a weighted SJF policy.
 func NewWSJF() *WSJF { return &WSJF{} }
@@ -61,30 +56,24 @@ func (*WSJF) Name() string { return "WSJF" }
 // Clairvoyant implements core.Policy.
 func (*WSJF) Clairvoyant() bool { return true }
 
-// wsjfLess orders by size-to-weight ratio, then release, then ID.
-func wsjfLess(jobs []core.JobView) func(a, b int) bool {
-	return func(a, b int) bool {
-		da := jobs[a].Size / weightOf(jobs[a])
-		db := jobs[b].Size / weightOf(jobs[b])
-		if da != db {
-			return da < db
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
+// order ranks jobs by size-to-weight ratio, then release, then ID.
+func (p *WSJF) order(jobs []core.JobView) *byKey {
+	key := p.rank.keys(jobs)
+	for i, j := range jobs {
+		key[i] = j.Size / weightOf(j)
 	}
+	return &p.rank
 }
 
 // Rates implements core.Policy.
 func (p *WSJF) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.buf.topM(len(jobs), m, rates, wsjfLess(jobs))
+	p.order(jobs).topM(m, rates)
 	return core.NoHorizon
 }
 
 // RatesEnv implements core.MachineAware.
 func (p *WSJF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.buf.topMEnv(len(jobs), env, rates, wsjfLess(jobs))
+	p.order(jobs).topMEnv(env, rates)
 	return core.NoHorizon
 }
 
@@ -93,10 +82,7 @@ func (p *WSJF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, 
 // machine). With unit weights it coincides with RR; it is the
 // non-clairvoyant fair-share policy of stride/lottery schedulers. Weights
 // are static, so rates change only at arrivals/completions.
-type PropShare struct {
-	weights []float64
-	buf     rankBuf
-}
+type PropShare struct{ buf shareBuf }
 
 // NewPropShare returns a weight-proportional-sharing policy.
 func NewPropShare() *PropShare { return &PropShare{} }
@@ -109,31 +95,25 @@ func (*PropShare) Clairvoyant() bool { return false }
 
 // Rates implements core.Policy.
 func (p *PropShare) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	n := len(jobs)
-	if cap(p.weights) < n {
-		p.weights = make([]float64, n)
-	}
-	p.weights = p.weights[:n]
-	for i, j := range jobs {
-		p.weights[i] = weightOf(j)
-	}
-	waterfill(p.weights, math.Min(float64(m), float64(n)), rates)
+	w := p.weights(jobs)
+	waterfill(w, math.Min(float64(m), float64(len(jobs))), rates, p.buf.capped)
 	return core.NoHorizon
 }
 
 // RatesEnv implements core.MachineAware via the largest uniform
 // proportional scaling feasible on the speed profile (see propFillEnv).
 func (p *PropShare) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	n := len(jobs)
-	if cap(p.weights) < n {
-		p.weights = make([]float64, n)
-	}
-	p.weights = p.weights[:n]
-	for i, j := range jobs {
-		p.weights[i] = weightOf(j)
-	}
-	propFillEnv(p.weights, env, rates, &p.buf)
+	propFillEnv(p.weights(jobs), env, rates, &p.buf.desc)
 	return core.NoHorizon
+}
+
+// weights fills the policy's weight column from the jobs' static weights.
+func (p *PropShare) weights(jobs []core.JobView) []float64 {
+	w := p.buf.column(len(jobs))
+	for i, j := range jobs {
+		w[i] = weightOf(j)
+	}
+	return w
 }
 
 // weightOf returns the view's effective weight, defaulting to 1 — robust

@@ -24,8 +24,7 @@ type WRR struct {
 	// RelDrift bounds the relative age drift per step (default 0.05).
 	RelDrift float64
 
-	weights []float64
-	buf     rankBuf
+	buf shareBuf
 }
 
 // NewWRR returns an age-weighted Round Robin with the given review quantum.
@@ -39,50 +38,36 @@ func (*WRR) Clairvoyant() bool { return false }
 
 // Rates implements core.Policy.
 func (p *WRR) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	n := len(jobs)
-	if cap(p.weights) < n {
-		p.weights = make([]float64, n)
-	}
-	p.weights = p.weights[:n]
-	minAge := math.Inf(1)
-	for i, j := range jobs {
-		p.weights[i] = j.Age
-		if j.Age < minAge {
-			minAge = j.Age
-		}
-	}
-	waterfill(p.weights, math.Min(float64(m), float64(n)), rates)
-	q := p.Quantum
-	if q <= 0 {
-		q = 1e-3
-	}
-	drift := p.RelDrift
-	if drift <= 0 {
-		drift = 0.05
-	}
-	if h := drift * minAge; h > q {
-		return h
-	}
-	return q
+	w, minAge := p.ages(jobs)
+	waterfill(w, math.Min(float64(m), float64(len(jobs))), rates, p.buf.capped)
+	return p.horizon(minAge)
 }
 
 // RatesEnv implements core.MachineAware: age-proportional shares via the
 // largest uniform scaling feasible on the speed profile (propFillEnv),
 // re-planned on the same drift-bounded quantum as the identical path.
 func (p *WRR) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	n := len(jobs)
-	if cap(p.weights) < n {
-		p.weights = make([]float64, n)
-	}
-	p.weights = p.weights[:n]
+	w, minAge := p.ages(jobs)
+	propFillEnv(w, env, rates, &p.buf.desc)
+	return p.horizon(minAge)
+}
+
+// ages fills the policy's weight column with the jobs' ages and returns it
+// with the smallest age.
+func (p *WRR) ages(jobs []core.JobView) ([]float64, float64) {
+	w := p.buf.column(len(jobs))
 	minAge := math.Inf(1)
 	for i, j := range jobs {
-		p.weights[i] = j.Age
+		w[i] = j.Age
 		if j.Age < minAge {
 			minAge = j.Age
 		}
 	}
-	propFillEnv(p.weights, env, rates, &p.buf)
+	return w, minAge
+}
+
+// horizon is the review interval max(Quantum, RelDrift·minAge).
+func (p *WRR) horizon(minAge float64) float64 {
 	q := p.Quantum
 	if q <= 0 {
 		q = 1e-3

@@ -201,8 +201,6 @@ type apiError struct {
 }
 
 // Error implements error.
-//
-//rrlint:coldpath request-failure rendering; apiError never reaches an engine loop, the walk sees it only through the error interface
 func (e *apiError) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Message) }
 
 func badRequest(format string, args ...any) *apiError {

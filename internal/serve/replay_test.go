@@ -13,6 +13,7 @@ import (
 	"rrnorm/internal/core"
 	"rrnorm/internal/fast"
 	"rrnorm/internal/metrics"
+	"rrnorm/internal/policy"
 	"rrnorm/internal/polspec"
 	"rrnorm/internal/stats"
 	"rrnorm/internal/trace"
@@ -284,5 +285,29 @@ func TestReplayBodyTooLarge(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "replay limit") {
 		t.Errorf("limit error %v does not name the replay limit", err)
+	}
+}
+
+// TestLimitSourceAllocBudget: the /v1/replay job cap adds no allocation
+// per pulled job to the streaming path it wraps — a replay's count stays
+// the source's one-shot constant when the trace grows fourfold.
+func TestLimitSourceAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is disturbed by -short test interleavings")
+	}
+	ws := core.NewWorkspace()
+	opts := core.Options{Machines: 2, Speed: 1, Engine: core.EngineFast}
+	count := func(n int) float64 {
+		run := func() {
+			src := &limitSource{src: workload.StreamLoad(stats.NewRNG(3), n, 2, 0.9, workload.ExpSizes{M: 1}), max: n}
+			if _, err := fast.RunStream(src, policy.NewRR(), opts, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(10, run)
+	}
+	if small, large := count(10_000), count(40_000); large != small {
+		t.Errorf("allocs/run grew with n: %v at 10k jobs vs %v at 40k — the per-job budget is 0", small, large)
 	}
 }

@@ -67,7 +67,6 @@ type DecodeError struct {
 	Reason string
 }
 
-//rrlint:coldpath decode-failure rendering; a DecodeError ends the replay
 func (e *DecodeError) Error() string {
 	if e.Field == "" {
 		return fmt.Sprintf("trace: line %d: %s", e.Line, e.Reason)
@@ -173,8 +172,6 @@ func (d *Decoder) Next() (core.Job, bool, error) {
 
 // bufferAll reads and validates the whole trace, then sorts it by
 // (Release, ID) — the Sort opt-in path.
-//
-//rrlint:coldpath one-shot buffering at replay setup; materializing the trace is the Sort contract
 func (d *Decoder) bufferAll() error {
 	for {
 		j, ok, err := d.next()
@@ -269,7 +266,6 @@ func (d *Decoder) markID(id int) bool {
 		return false
 	}
 	if d.sparse == nil {
-		//rrlint:ignore hotalloc lazy one-time fallback for sparse IDs; the dense bitset path allocates nothing
 		d.sparse = make(map[int]bool)
 	}
 	if d.sparse[id] {
@@ -452,9 +448,11 @@ func (d *Decoder) decodeJSON(raw []byte) (core.Job, error) {
 	if err := dec.Decode(&rec); err != nil {
 		return core.Job{}, &DecodeError{Line: d.line, Reason: "invalid JSON: " + err.Error()}
 	}
-	// Trailing tokens after the object ("{...} {...}" on one line) would
-	// silently drop jobs if ignored.
-	if dec.More() {
+	// Anything after the object would silently drop or invent jobs if
+	// ignored: a second value ("{...} {...}" on one line) or a stray
+	// closer ("{...}}", "{...}]", which dec.More does not report). The
+	// line is trimmed, so the object must end it.
+	if dec.InputOffset() < int64(len(raw)) {
 		return core.Job{}, &DecodeError{Line: d.line, Reason: "trailing data after JSON object"}
 	}
 	if rec.ID == nil {
@@ -475,8 +473,6 @@ func (d *Decoder) decodeJSON(raw []byte) (core.Job, error) {
 
 // parseHeader validates the CSV header: a permutation of id,release,size
 // with weight optional, no duplicates, no unknown columns.
-//
-//rrlint:coldpath runs once per trace, on the header line only
 func (d *Decoder) parseHeader(line string) error {
 	cols := strings.Split(line, ",")
 	need := map[string]bool{"id": false, "release": false, "size": false}
@@ -508,7 +504,8 @@ func (d *Decoder) parseHeader(line string) error {
 
 // parseCSV decodes one data row in place: fields are split with
 // bytes.IndexByte and trimmed with bytes.TrimSpace (the Unicode spaces
-// strings.TrimSpace trims), so no string copy or []string is built.
+// strings.TrimSpace trims), so no string copy or []string is built. Each
+// field must be one JSON number (isJSONNumber), and the id an integer.
 func (d *Decoder) parseCSV(line []byte) (core.Job, error) {
 	if n := bytes.Count(line, comma) + 1; n != len(d.cols) {
 		return core.Job{}, &DecodeError{Line: d.line, Reason: fmt.Sprintf("%d fields, header has %d columns", n, len(d.cols))}
@@ -523,13 +520,13 @@ func (d *Decoder) parseCSV(line []byte) (core.Job, error) {
 		switch col {
 		case "id":
 			id, err := strconv.Atoi(string(v))
-			if err != nil {
+			if err != nil || !isJSONNumber(v) { // Atoi admits only [+-]digits
 				return core.Job{}, &DecodeError{Line: d.line, Field: "id", Reason: fmt.Sprintf("invalid integer %q", v)}
 			}
 			j.ID = id
 		default:
 			f, err := strconv.ParseFloat(string(v), 64)
-			if err != nil {
+			if err != nil || !isJSONNumber(v) {
 				return core.Job{}, &DecodeError{Line: d.line, Field: col, Reason: fmt.Sprintf("invalid number %q", v)}
 			}
 			switch col {
@@ -543,6 +540,15 @@ func (d *Decoder) parseCSV(line []byte) (core.Job, error) {
 		}
 	}
 	return j, nil
+}
+
+// isJSONNumber reports whether v is exactly one JSON number (RFC 8259 §6),
+// the grammar NDJSON values use, so a CSV field means what the same value
+// means in NDJSON: Go literal forms such as "+2", "007", "0x1p-2", "1_0"
+// or "inf" are errors, not other numbers.
+func isJSONNumber(v []byte) bool {
+	n := jsonNumberLen(v)
+	return n > 0 && n == len(v)
 }
 
 // comma is the CSV field separator, as bytes.Count's separator argument.

@@ -57,14 +57,14 @@ func TestDecodeCSV(t *testing.T) {
 	in := "size, id ,release\n" + // permuted header with spaces
 		"2,0,0\n" +
 		"# mid-trace comment\n" +
-		"\u00a03\u00a0,+2,0x1p-2\n" + // U+00A0 padding, a signed id, a hex-float release
-		"1_0,3,0.25\n" + // ParseFloat takes Go digit separators
+		"\u00a03\u00a0,2,0.25\n" + // U+00A0 padding
+		"1e1,-3,2.5E-1\n" + // exponents and a negative id, as JSON writes them
 		"1.25, 1, 0.5\n"
 	jobs, err := drain(t, trace.NewDecoder(strings.NewReader(in), trace.DecodeOptions{Format: trace.FormatCSV}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []core.Job{{ID: 0, Release: 0, Size: 2}, {ID: 2, Release: 0.25, Size: 3}, {ID: 3, Release: 0.25, Size: 10}, {ID: 1, Release: 0.5, Size: 1.25}}
+	want := []core.Job{{ID: 0, Release: 0, Size: 2}, {ID: 2, Release: 0.25, Size: 3}, {ID: -3, Release: 0.25, Size: 10}, {ID: 1, Release: 0.5, Size: 1.25}}
 	if !slices.Equal(jobs, want) {
 		t.Fatalf("decoded %+v, want %+v", jobs, want)
 	}
@@ -92,13 +92,43 @@ func TestDecodeMalformed(t *testing.T) {
 			name: "infinite size csv",
 			opts: trace.DecodeOptions{Format: trace.FormatCSV},
 			in:   "id,release,size\n0,0,Inf\n",
-			line: 2, field: "size", frag: "non-finite",
+			line: 2, field: "size", frag: `invalid number "Inf"`,
 		},
 		{
 			name: "NaN release csv",
 			opts: trace.DecodeOptions{Format: trace.FormatCSV},
 			in:   "id,release,size\n0,NaN,1\n",
-			line: 2, field: "release", frag: "invalid release",
+			line: 2, field: "release", frag: `invalid number "NaN"`,
+		},
+		{
+			name: "csv signed id",
+			opts: trace.DecodeOptions{Format: trace.FormatCSV},
+			in:   "id,release,size\n+2,0,1\n",
+			line: 2, field: "id", frag: `invalid integer "+2"`,
+		},
+		{
+			name: "csv fractional id",
+			opts: trace.DecodeOptions{Format: trace.FormatCSV},
+			in:   "id,release,size\n1e2,0,1\n",
+			line: 2, field: "id", frag: `invalid integer "1e2"`,
+		},
+		{
+			name: "csv leading-zero id",
+			opts: trace.DecodeOptions{Format: trace.FormatCSV},
+			in:   "id,release,size\n07,0,1\n",
+			line: 2, field: "id", frag: `invalid integer "07"`,
+		},
+		{
+			name: "csv hex-float release",
+			opts: trace.DecodeOptions{Format: trace.FormatCSV},
+			in:   "id,release,size\n0,0x1p-2,1\n",
+			line: 2, field: "release", frag: `invalid number "0x1p-2"`,
+		},
+		{
+			name: "csv digit separator size",
+			opts: trace.DecodeOptions{Format: trace.FormatCSV},
+			in:   "id,release,size\n0,0,1_0\n",
+			line: 2, field: "size", frag: `invalid number "1_0"`,
 		},
 		{
 			name: "negative release",
@@ -142,6 +172,17 @@ func TestDecodeMalformed(t *testing.T) {
 			name: "trailing garbage",
 			in:   `{"id":0,"release":0,"size":1} {"id":1}`,
 			line: 1, frag: "trailing data",
+		},
+		{
+			name: "stray closing brace",
+			in:   `{"id":0,"release":0,"size":1}}`,
+			line: 1, frag: "trailing data",
+		},
+		{
+			name: "stray closing bracket",
+			in: `{"id":0,"release":0,"size":1}
+{"id":1,"release":0,"size":1}]`,
+			line: 2, frag: "trailing data",
 		},
 		{
 			name: "not json",
@@ -188,7 +229,7 @@ func TestDecodeMalformed(t *testing.T) {
 			name: "csv lowercase inf size",
 			opts: trace.DecodeOptions{Format: trace.FormatCSV},
 			in:   "id,release,size\n0,0,inf\n",
-			line: 2, field: "size", frag: "negative or non-finite size +Inf",
+			line: 2, field: "size", frag: `invalid number "inf"`,
 		},
 		{
 			name: "sorted still rejects dup ids",

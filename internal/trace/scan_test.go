@@ -37,6 +37,7 @@ func FuzzNDJSONLine(f *testing.F) {
 		`{"id":0,"release":0,"size":1,}`,
 		`{"id":0,"release":0,"size":1} {"id":1}`,
 		`{"id":0,"release":0,"size":1}}`,
+		`{"id":1,"release":0,"size":1}]`,
 	} {
 		f.Add([]byte(s))
 	}
