@@ -3,7 +3,7 @@
 // it produces the same schedules as the reference engine (core.Run) in
 // O((n + completions) log n) instead of the reference's O(events · n_t):
 // RR via incremental virtual-time ("fair share") accounting, the rank-based
-// policies via three indexed heaps over the running and waiting sets.
+// policies via three inline-key heaps over the running and waiting sets.
 //
 // Run is a drop-in replacement for core.Run that honors
 // core.Options.Engine: it dispatches to a fast path when one exists and
@@ -195,20 +195,20 @@ func dispatch(p core.Policy, cur *core.Cursor, res *core.Result, sum *core.Strea
 		r := rrRun{cur: cur, res: res, sum: sum, h: &s.rrHeap, m: opts.Machines, speed: opts.Speed, obs: opts.Observer, ep: &s.epoch, env: &s.env, hetero: !s.env.Identical()}
 		return runRR(&r, opts, s)
 	case *policy.SRPT:
-		s.prepareTopM(ordSRPT, false, opts.Speed)
+		s.prepareTopM(ordSRPT, opts.Speed)
 		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyNone}
 		return r.run(opts)
 	case *policy.SJF:
-		s.prepareTopM(ordStatic, true, opts.Speed)
+		s.prepareTopM(ordStatic, opts.Speed)
 		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keySize}
 		return r.run(opts)
 	case *policy.FCFS:
 		// Arrival-sequence order is (Release, ID) order — FCFS itself.
-		s.prepareTopM(ordStatic, false, opts.Speed)
+		s.prepareTopM(ordStatic, opts.Speed)
 		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyNone}
 		return r.run(opts)
 	case *policy.StaticPriority:
-		s.prepareTopM(ordStatic, true, opts.Speed)
+		s.prepareTopM(ordStatic, opts.Speed)
 		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyPriority, prio: pp}
 		return r.run(opts)
 	}

@@ -1,138 +1,141 @@
 package fast
 
-// heapRole selects which of the shared ordering's three comparators an
-// indexHeap sorts by. Dispatching on a role tag through a shared *ordering
-// — instead of storing a comparator closure per heap — keeps workspace
-// reuse allocation-free: closures stored in struct fields escape to the
-// heap on every construction, a role byte does not.
-type heapRole uint8
-
-const (
-	roleByC   heapRole = iota // next completion: least cAt first
-	roleWorst                 // preemption victim: "worse" jobs first
-	roleWait                  // promotion candidate: best waiting job first
-)
-
-// indexHeap is a binary heap over scratch slot ids ordered by one role of
-// a shared ordering, with position tracking so arbitrary members can be
-// removed in O(log n) — needed when a preemption pulls a job out of the
-// middle of the running set. Composite tie-breaks (key, release, ID) live
-// in the ordering, which is why the fast engine uses this instead of the
-// float-keyed queue.IndexedMinHeap. Slots appear dynamically (allocSlot
-// calls grow), so capacity tracks the peak alive set, not the stream
-// length.
-type indexHeap struct {
-	items []int
-	pos   []int // pos[slot] = index in items, or -1 when absent
-	ord   *ordering
-	role  heapRole
+// slotHeap is the top-m engine's heap: a 4-ary min-heap over scratch slot
+// ids whose order key travels inline with each item, ordered by (key, seq).
+// seq is an arrival sequence number (or its negation), unique per alive
+// job, so the order is strict and total: the pop sequence depends only on
+// the contents, never on the arity or the sift path. A key never changes
+// while its item is in the heap — callers remove an item before the slot
+// state it was keyed on moves — so comparisons read two flat words per
+// item instead of dispatching into the slot columns.
+//
+// pos maps a slot to its item index (−1 when absent) so a preemption can
+// pull a job out of the middle of the running set in O(log alive). Sifts
+// move a hole rather than swapping pairs: the moving item is written once,
+// at its final index, and every item it passes has its pos written once.
+// Slots appear dynamically (allocSlot calls grow), so capacity tracks the
+// peak alive set, not the stream length.
+type slotHeap struct {
+	items []slotItem
+	pos   []int32
 }
 
-// reuse empties the heap and re-points it at the ordering role; grow
-// extends coverage as slots are allocated. Backing arrays are reused
-// whenever capacity allows.
-func (h *indexHeap) reuse(ord *ordering, role heapRole) {
+type slotItem struct {
+	key  float64
+	seq  int
+	slot int
+}
+
+func (a slotItem) less(b slotItem) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
+}
+
+// reuse empties the heap; grow extends position tracking to cover slots
+// 0..n−1, new slots absent. Backing arrays are kept, so steady-state runs
+// allocate nothing.
+func (h *slotHeap) reuse() {
 	h.items = h.items[:0]
 	h.pos = h.pos[:0]
-	h.ord, h.role = ord, role
 }
 
-// grow extends position tracking to cover slots 0..n−1; new slots start
-// absent. Within retained capacity this is an append of -1s, so
-// steady-state runs allocate nothing.
-func (h *indexHeap) grow(n int) {
+func (h *slotHeap) grow(n int) {
 	for len(h.pos) < n {
 		h.pos = append(h.pos, -1)
 	}
 }
 
-func (h *indexHeap) less(a, b int) bool {
-	switch h.role {
-	case roleByC:
-		return h.ord.byCLess(a, b)
-	case roleWorst:
-		return h.ord.worstLess(a, b)
-	default:
-		return h.ord.waitLess(a, b)
+// Len returns the number of slots currently in the heap.
+func (h *slotHeap) Len() int { return len(h.items) }
+
+// Min returns the least slot and MinKey its key; the heap must be
+// non-empty.
+func (h *slotHeap) Min() int { return h.items[0].slot }
+
+func (h *slotHeap) MinKey() float64 { return h.items[0].key }
+
+// Push inserts slot under (key, seq); it must not already be present.
+func (h *slotHeap) Push(key float64, seq, slot int) {
+	if h.pos[slot] >= 0 {
+		panic("fast: Push of slot already in heap")
 	}
+	h.items = append(h.items, slotItem{key: key, seq: seq, slot: slot})
+	h.up(len(h.items)-1, h.items[len(h.items)-1])
 }
 
-// Len returns the number of jobs currently in the heap.
-func (h *indexHeap) Len() int { return len(h.items) }
-
-// Min returns the least job under the ordering; the heap must be non-empty.
-func (h *indexHeap) Min() int { return h.items[0] }
-
-// Push inserts job j; it must not already be present.
-func (h *indexHeap) Push(j int) {
-	if h.pos[j] >= 0 {
-		panic("fast: Push of job already in heap")
-	}
-	h.pos[j] = len(h.items)
-	h.items = append(h.items, j)
-	h.up(len(h.items) - 1)
-}
-
-// Pop removes and returns the least job; the heap must be non-empty.
-func (h *indexHeap) Pop() int {
-	j := h.items[0]
+// Pop removes and returns the least slot; the heap must be non-empty.
+func (h *slotHeap) Pop() int {
+	sl := h.items[0].slot
 	h.removeAt(0)
-	return j
+	return sl
 }
 
-// Remove deletes job j from anywhere in the heap; it must be present.
-func (h *indexHeap) Remove(j int) {
-	i := h.pos[j]
+// Remove deletes slot from anywhere in the heap; it must be present.
+func (h *slotHeap) Remove(slot int) {
+	i := h.pos[slot]
 	if i < 0 {
-		panic("fast: Remove of absent job")
+		panic("fast: Remove of absent slot")
 	}
-	h.removeAt(i)
+	h.removeAt(int(i))
 }
 
-func (h *indexHeap) removeAt(i int) {
+// removeAt fills the hole at i with the last item and sifts it whichever
+// way the heap order needs.
+func (h *slotHeap) removeAt(i int) {
 	last := len(h.items) - 1
-	j := h.items[i]
-	h.swap(i, last)
+	h.pos[h.items[i].slot] = -1
+	cur := h.items[last]
 	h.items = h.items[:last]
-	h.pos[j] = -1
-	if i < last {
-		h.down(i)
-		h.up(i)
+	if i == last {
+		return
+	}
+	if i > 0 && cur.less(h.items[(i-1)/4]) {
+		h.up(i, cur)
+	} else {
+		h.down(i, cur)
 	}
 }
 
-func (h *indexHeap) swap(i, k int) {
-	h.items[i], h.items[k] = h.items[k], h.items[i]
-	h.pos[h.items[i]] = i
-	h.pos[h.items[k]] = k
-}
-
-func (h *indexHeap) up(i int) {
+// up places cur at the hole i or above it.
+func (h *slotHeap) up(i int, cur slotItem) {
+	items := h.items
 	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(h.items[i], h.items[p]) {
-			return
+		p := (i - 1) / 4
+		if !cur.less(items[p]) {
+			break
 		}
-		h.swap(i, p)
+		items[i] = items[p]
+		h.pos[items[i].slot] = int32(i)
 		i = p
 	}
+	items[i] = cur
+	h.pos[cur.slot] = int32(i)
 }
 
-func (h *indexHeap) down(i int) {
-	n := len(h.items)
+// down places cur at the hole i or below it.
+func (h *slotHeap) down(i int, cur slotItem) {
+	items := h.items
+	n := len(items)
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(h.items[l], h.items[small]) {
-			small = l
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(h.items[r], h.items[small]) {
-			small = r
+		least := c
+		for k := c + 1; k < c+4 && k < n; k++ {
+			if items[k].less(items[least]) {
+				least = k
+			}
 		}
-		if small == i {
-			return
+		if !items[least].less(cur) {
+			break
 		}
-		h.swap(i, small)
-		i = small
+		items[i] = items[least]
+		h.pos[items[i].slot] = int32(i)
+		i = least
 	}
+	items[i] = cur
+	h.pos[cur.slot] = int32(i)
 }

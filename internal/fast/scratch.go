@@ -8,8 +8,8 @@ import (
 )
 
 // scratch is the fast engine's per-workspace state: the RR virtual-time
-// completion heap, and the top-m engine's slot arrays plus the three
-// indexed heaps ranging over them. It rides on
+// completion heap, and the top-m engine's slot arrays plus the three slot
+// heaps ranging over them. It rides on
 // core.Workspace.EngineScratch, so one pooled workspace serves both
 // engines; after the first run on a workspace every buffer here is reused
 // and the fast paths allocate nothing.
@@ -69,9 +69,9 @@ type scratch struct {
 	release []float64 // release time, for flow at completion
 	seq     []int     // arrival sequence number: the tie-break and result index
 	free    []int     // freed slot ids, reused before growing
-	byC     indexHeap
-	worst   indexHeap
-	waiting indexHeap
+	byC     slotHeap  // running slots by next completion
+	worst   slotHeap  // running slots, preemption victim first
+	waiting slotHeap  // waiting slots, promotion candidate first
 
 	// epoch is the single core.Epoch value reused for every ObserveEpoch
 	// callback, kept here (not on the run's stack) so its address reaching
@@ -236,10 +236,10 @@ func scratchOf(ws *core.Workspace) *scratch {
 	return s
 }
 
-// prepareTopM readies the slot state for a run: all slots released, the
-// heaps emptied and re-pointed at the ordering. Slot capacity from earlier
-// runs is kept, so steady-state runs allocate nothing.
-func (s *scratch) prepareTopM(kind ordKind, useKey bool, speed float64) {
+// prepareTopM readies the slot state for a run: all slots released and the
+// heaps emptied. Slot capacity from earlier runs is kept, so steady-state
+// runs allocate nothing.
+func (s *scratch) prepareTopM(kind ordKind, speed float64) {
 	s.rem = s.rem[:0]
 	s.cAt = s.cAt[:0]
 	s.key = s.key[:0]
@@ -247,10 +247,10 @@ func (s *scratch) prepareTopM(kind ordKind, useKey bool, speed float64) {
 	s.release = s.release[:0]
 	s.seq = s.seq[:0]
 	s.free = s.free[:0]
-	s.ord = ordering{kind: kind, useKey: useKey, s: s, speed: speed}
-	s.byC.reuse(&s.ord, roleByC)
-	s.worst.reuse(&s.ord, roleWorst)
-	s.waiting.reuse(&s.ord, roleWait)
+	s.ord = ordering{kind: kind, s: s, speed: speed}
+	s.byC.reuse()
+	s.worst.reuse()
+	s.waiting.reuse()
 }
 
 // allocSlot claims a slot for an admitted job, reusing a freed one when

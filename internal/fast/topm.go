@@ -19,8 +19,9 @@ import (
 // absolute completion time if never preempted, and a waiting job by rem,
 // its (frozen) remaining work. The only events are arrivals — which start
 // on a free machine, preempt the worst running job, or queue — and
-// completions — which promote the best waiting job. Three indexed heaps
-// (next completion, preemption victim, promotion candidate) make every
+// completions — which promote the best waiting job. Three slot heaps
+// (next completion, preemption victim, promotion candidate; see slotHeap),
+// each item carrying its frozen (key, seq) order key inline, make every
 // event O(log alive).
 //
 // Alive jobs live in scratch slots allocated at admission and freed at
@@ -41,9 +42,9 @@ import (
 type ordKind uint8
 
 const (
-	// ordStatic ranks by a fixed per-slot key with the arrival-sequence
-	// tie-break (sequence order is (Release, ID) order, the reference
-	// tie-break). With useKey false the order is pure sequence — FCFS.
+	// ordStatic ranks by a fixed per-slot key (0 for FCFS, so the order is
+	// pure sequence) with the arrival-sequence tie-break (sequence order is
+	// (Release, ID) order, the reference tie-break).
 	ordStatic ordKind = iota
 	// ordSRPT ranks by remaining work: frozen rem for waiting jobs,
 	// cAt-implied for running ones (equal drain rate ⇒ cAt order is
@@ -51,59 +52,15 @@ const (
 	ordSRPT
 )
 
-// ordering ranks slots for the top-m engine. It reads the slot arrays
+// ordering is the top-m run's policy order. It reads the slot arrays
 // through the scratch pointer — not captured slices — so slot growth never
 // leaves it stale, and it is a concrete struct with methods rather than a
-// set of closures so workspace reuse stays allocation-free.
+// set of closures so workspace reuse stays allocation-free. The heaps do
+// not consult it: start and wait key each item once, at push.
 type ordering struct {
-	kind   ordKind
-	useKey bool // rank by s.key (SJF, StaticPriority) before the tie-break
-	s      *scratch
-	speed  float64
-}
-
-func (o *ordering) keyOf(sl int) float64 {
-	if !o.useKey {
-		return 0
-	}
-	return o.s.key[sl]
-}
-
-// waitLess orders waiting slots: the least is promoted first.
-func (o *ordering) waitLess(a, b int) bool {
-	if o.kind == ordSRPT {
-		if o.s.rem[a] != o.s.rem[b] {
-			return o.s.rem[a] < o.s.rem[b]
-		}
-		return o.s.seq[a] < o.s.seq[b]
-	}
-	if ka, kb := o.keyOf(a), o.keyOf(b); ka != kb {
-		return ka < kb
-	}
-	return o.s.seq[a] < o.s.seq[b]
-}
-
-// worstLess orders running slots so the heap minimum is the preemption
-// victim (i.e. it sorts "worse" jobs first).
-func (o *ordering) worstLess(a, b int) bool {
-	if o.kind == ordSRPT {
-		if o.s.cAt[a] != o.s.cAt[b] {
-			return o.s.cAt[a] > o.s.cAt[b]
-		}
-		return o.s.seq[a] > o.s.seq[b]
-	}
-	if ka, kb := o.keyOf(a), o.keyOf(b); ka != kb {
-		return ka > kb
-	}
-	return o.s.seq[a] > o.s.seq[b]
-}
-
-// byCLess orders running slots by next completion.
-func (o *ordering) byCLess(a, b int) bool {
-	if o.s.cAt[a] != o.s.cAt[b] {
-		return o.s.cAt[a] < o.s.cAt[b]
-	}
-	return o.s.seq[a] < o.s.seq[b]
+	kind  ordKind
+	s     *scratch
+	speed float64
 }
 
 // preempts reports whether a newly arrived job — static key jKey, remaining
@@ -117,17 +74,37 @@ func (o *ordering) preempts(jKey, jRem float64, jSeq, v int, now float64) bool {
 		}
 		return jSeq < o.s.seq[v]
 	}
-	if kv := o.keyOf(v); jKey != kv {
+	if kv := o.s.key[v]; jKey != kv {
 		return jKey < kv
 	}
 	return jSeq < o.s.seq[v]
 }
 
-// start puts slot sl on a machine at time t.
+// start puts slot sl on a machine at time t. byC is keyed (cAt, seq);
+// worst is keyed (−rank, −seq), rank being cAt for SRPT and the static key
+// otherwise, so its minimum is the running job last in the policy order.
+// Negation is exact, so the order is the mirror image bit for bit.
 func (s *scratch) start(sl int, t, speed float64) {
-	s.cAt[sl] = t + s.rem[sl]/speed
-	s.byC.Push(sl)
-	s.worst.Push(sl)
+	c := t + s.rem[sl]/speed
+	s.cAt[sl] = c
+	seq := s.seq[sl]
+	s.byC.Push(c, seq, sl)
+	rank := s.key[sl]
+	if s.ord.kind == ordSRPT {
+		rank = c
+	}
+	s.worst.Push(-rank, -seq, sl)
+}
+
+// wait queues slot sl, keyed (rank, seq) with rank its frozen remaining
+// work for SRPT and the static key otherwise: a waiting job's rank cannot
+// change until it is promoted.
+func (s *scratch) wait(sl int) {
+	rank := s.key[sl]
+	if s.ord.kind == ordSRPT {
+		rank = s.rem[sl]
+	}
+	s.waiting.Push(rank, s.seq[sl], sl)
 }
 
 // keyMode selects how topmRun computes a job's static key at admission —
@@ -202,7 +179,7 @@ func (r *topmRun) run(opts core.Options) error {
 		// Drain: completions with tC ≤ tA (ties complete first, as in the
 		// stepped loop), each promoting the best waiting job.
 		for byC.Len() > 0 {
-			tC := s.cAt[byC.Min()]
+			tC := byC.MinKey()
 			if !(tC <= tA) {
 				break
 			}
@@ -284,11 +261,11 @@ func (r *topmRun) run(opts core.Options) error {
 				s.freeSlot(v)
 			} else {
 				s.rem[v] = remV
-				waiting.Push(v)
+				s.wait(v)
 			}
 			s.start(s.allocSlot(j, seq, kJ, tolJ), now, sp)
 		default:
-			waiting.Push(s.allocSlot(j, seq, kJ, tolJ))
+			s.wait(s.allocSlot(j, seq, kJ, tolJ))
 		}
 		if coarse {
 			if aliveBefore == 0 {

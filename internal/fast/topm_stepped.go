@@ -38,7 +38,7 @@ func (r *topmRun) runStepped(opts core.Options) error {
 			tA = cur.Head().Release
 		}
 		if byC.Len() > 0 {
-			tC = s.cAt[byC.Min()]
+			tC = byC.MinKey()
 		}
 		if tC <= tA {
 			// Completion: the running job with the least cAt finishes; the
@@ -88,11 +88,11 @@ func (r *topmRun) runStepped(opts core.Options) error {
 				s.freeSlot(v)
 			} else {
 				s.rem[v] = remV
-				waiting.Push(v)
+				s.wait(v)
 			}
 			s.start(s.allocSlot(j, seq, kJ, tolJ), now, sp)
 		default:
-			waiting.Push(s.allocSlot(j, seq, kJ, tolJ))
+			s.wait(s.allocSlot(j, seq, kJ, tolJ))
 		}
 	}
 	if r.res != nil {
