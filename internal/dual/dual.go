@@ -213,6 +213,12 @@ func finishCertificate(res *core.Result, k int, eps float64, alpha []float64) *C
 	// Dual constraints: for each job, the binding candidate times are r_j
 	// and the β step breakpoints after r_j (between breakpoints β is
 	// constant and γ(t−r_j)^k increases, so the left endpoint dominates).
+	// The sweep over breakpoints stops once the β-free bound
+	// (a − γ((t−r_j)^k + p^k)) / (γ·p^k) is ≤ the job's worst value so far:
+	// p·β ≥ 0 and rounded arithmetic and PowK are monotone, so that bound is
+	// ≥ every later candidate's value and non-increasing in t, and the stop
+	// changes no result bit. (The float64 conversion keeps the bound's
+	// product from fusing with the subtraction.)
 	c.ViolatingJob = -1
 	c.JobSlack = make([]float64, n)
 	worst := math.Inf(-1)
@@ -223,21 +229,21 @@ func finishCertificate(res *core.Result, k int, eps float64, alpha []float64) *C
 		}
 		pk := metrics.PowK(j.Size, k)
 		jobWorst := math.Inf(-1)
-		check := func(t float64) {
-			if t < j.Release {
-				t = j.Release
-			}
-			age := t - j.Release
-			rhs := c.Gamma*(metrics.PowK(age, k)+pk) + j.Size*beta.at(t)
-			v := (a - rhs) / (c.Gamma * pk)
-			if v > jobWorst {
-				jobWorst = v
-			}
+		slack := func(age, b float64) float64 {
+			rhs := c.Gamma*(metrics.PowK(age, k)+pk) + j.Size*b
+			return (a - rhs) / (c.Gamma * pk)
 		}
-		check(j.Release)
-		for _, bp := range beta.times {
-			if bp > j.Release {
-				check(bp)
+		if v := slack(0, beta.at(j.Release)); v > jobWorst {
+			jobWorst = v
+		}
+		// A breakpoint at r_j itself repeats the check above, harmlessly.
+		for bi := sort.SearchFloat64s(beta.times, j.Release); bi < len(beta.times); bi++ {
+			age := beta.times[bi] - j.Release
+			if bound := (a - float64(c.Gamma*(metrics.PowK(age, k)+pk))) / (c.Gamma * pk); bound <= jobWorst {
+				break
+			}
+			if v := slack(age, beta.values[bi]); v > jobWorst {
+				jobWorst = v
 			}
 		}
 		c.JobSlack[i] = jobWorst
