@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fmt-check lint lint-fix-check bench bench-engine bench-smoke fuzz hunt hunt-smoke replay-smoke suite serve serve-test serve-bench clean
+.PHONY: build test verify fmt-check lint lint-fix-check bench bench-engine bench-smoke perfbench-smoke fuzz hunt hunt-smoke replay-smoke suite serve serve-test serve-bench clean
 
 build:
 	$(GO) build ./...
@@ -132,6 +132,15 @@ bench-engine:
 bench-smoke:
 	$(GO) test -run 'TestEngineAllocBudget|TestObserverAllocBudget|TestStreamAllocBudget|TestBenchSmokeRatchet' -v .
 	$(GO) test -run xxx -short -bench 'BenchmarkEngineWorkspaceGrid|BenchmarkEngineRR$$|BenchmarkEngineFastVsReference|BenchmarkObserverVsSegments' -benchtime=100x -benchmem .
+
+# The layer-ladder benchmark is a module of its own (perfbench/go.mod,
+# replace rrnorm => ../), so `go test ./...` at the root never compiles it.
+# Vet it, then run its tests: every workload's --smoke run in both modes
+# with checked outputs. perfbench imports internal/fast, internal/trace and
+# internal/serve, so a signature change there fails here instead of in the
+# benchmark pipeline.
+perfbench-smoke:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # Regenerate the experiment suite into results/.
 suite:
