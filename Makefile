@@ -106,9 +106,9 @@ bench:
 
 # Regenerate the committed engine baselines: BENCH_engine.json (ns/op,
 # ns/job, allocs/op and B/op for RR and SRPT at n ∈ {1e3..1e6}, m ∈ {1, 8},
-# the workspace-vs-fresh and batched-vs-stepped comparisons, single-run
-# walls at n ∈ {1e6, 1e7} with the RR n=1e7 < 1s gate, and the sharded
-# SRPT speedup row), BENCH_observe.json (the
+# the workspace-vs-fresh and vs-seed comparisons, single-run walls at
+# n ∈ {1e6, 1e7} with the RR n=1e7 < 1s gate, and the sharded SRPT
+# speedup row), BENCH_observe.json (the
 # n=1e6 streaming-observer vs RecordSegments comparison: ns/op, heap
 # churn, peak RSS) and BENCH_stream.json (a 1e7-job streaming JobSource
 # replay in a child process whose Maxrss must stay under the
@@ -123,8 +123,8 @@ bench-engine:
 # (0 allocs/run with a reused workspace for every policy on the reference
 # engine and every fast loop, with and without observers attached; stated
 # budgets for the materializing observers; DESIGN.md §12 maps each row),
-# the bulk-advance ratchet (batched RR ≥2x the reference
-# per-epoch engine at n=1e6, ≤10% regression vs the stepped fast loop),
+# the bulk-advance ratchet (fast RR at n=1e6 ≥2x the reference per-epoch
+# engine on one identical machine, ≥1.5x on speeds {1, 3}),
 # plus a 100-iteration pass over the workspace grid (-short skips the
 # n=1e6 cells the ratchet already covers) and the observers-vs-segments
 # comparison so allocs/op regressions surface in the job log without a

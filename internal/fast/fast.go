@@ -5,6 +5,13 @@
 // RR via incremental virtual-time ("fair share") accounting, the rank-based
 // policies via three inline-key heaps over the running and waiting sets.
 //
+// Each path is one bulk-advance event loop per sink: RR runs rrMat.run for
+// a materialized result and runRRStream for a stream; the rank-based
+// policies run topmRun.run for both. Every output bit of those loops is
+// pinned by TestFastEngineDigests in internal/check
+// (testdata/fast_digests.txt), so a refactor of a loop or heap must leave
+// each digest unchanged.
+//
 // Run is a drop-in replacement for core.Run that honors
 // core.Options.Engine: it dispatches to a fast path when one exists and
 // falls back to the reference engine for arbitrary Policy implementations

@@ -8,9 +8,9 @@ import (
 // rrRun is the Round Robin sweep state. admit/complete are methods on a
 // stack-local value rather than closures so that workspace-reuse runs stay
 // allocation-free (captured-variable closures escape to the heap). Exactly
-// one of res (materialized sink) and sum (streaming sink) is non-nil;
-// arrivals come from the cursor either way, so the stepped loop and the
-// batched streaming loop execute the same admissions byte for byte.
+// one of res (materialized sink) and sum (streaming sink) is non-nil; runRR
+// hands a materialized run to rrMat, so the cursor-fed drain below
+// (runRRStream) serves the streaming sink.
 type rrRun struct {
 	cur   *core.Cursor
 	res   *core.Result
@@ -66,21 +66,14 @@ func (r *rrRun) complete() {
 }
 
 // epoch emits the rate-constant interval [r.now, end) to the observer.
-// Under RR every alive job shares min(1, m/alive) of a machine, so the
-// pre-speed rate sum is min(alive, m); on uniform machines it is
-// alive·FairShare(alive) (env.RRSum).
 func (r *rrRun) epoch(end float64) {
 	alive := r.h.Len()
-	var rs float64
-	if r.hetero {
-		rs = r.env.RRSum(alive)
-	} else {
-		rs = identicalRateSum(alive, r.m)
-	}
-	emitEpoch(r.obs, r.ep, r.now, end, alive, rs)
+	emitEpoch(r.obs, r.ep, r.now, end, alive, r.rateSum(alive))
 }
 
-// rateSum is the epoch helper for the coarse/batched paths.
+// rateSum is an epoch's pre-speed rate sum. Under RR every alive job
+// shares min(1, m/alive) of a machine, so the sum is min(alive, m); on
+// uniform machines it is alive·FairShare(alive) (env.RRSum).
 func (r *rrRun) rateSum(alive int) float64 {
 	if r.hetero {
 		return r.env.RRSum(alive)
@@ -100,27 +93,26 @@ func (r *rrRun) rateSum(alive int) float64 {
 // costs O(log alive) instead of the reference engine's O(n_t) rate
 // recomputation.
 //
-// Three loops implement that sweep, all producing byte-identical output
-// (same floating-point expressions, same event counting, same heap total
-// order — the pop sequence of a min-heap under a strict total order is
-// layout-independent):
+// The sink picks one of two bulk-advance drains, which produce
+// byte-identical output (same floating-point expressions, same event
+// counting, same heap total order — the pop sequence of a min-heap under a
+// strict total order is layout-independent):
 //
-//   - runRRStepped (rr_stepped.go): one iteration per event, the
-//     pre-bulk-advance baseline, selected by SetSteppedAdvance;
-//   - rrMat.run: the batched materialized path — bulk-advance drain over a
-//     queue.PairHeap with columnar SoA side arrays, iterating the
+//   - rrMat.run, for a materialized result: a queue.PairHeap of 16-byte
+//     (target, index) items with columnar SoA side arrays, iterating the
 //     normalized job slice directly (no cursor);
-//   - runRRStream: the batched streaming path — the same drain structure
-//     over the payload-carrying JobHeap, pulling arrivals from the cursor
-//     with O(alive) memory.
+//   - runRRStream, for a stream: the payload-carrying queue.JobHeap, whose
+//     items hold everything a completion needs, pulling arrivals from the
+//     cursor with O(alive) memory.
+//
+// rrMat is kept beside runRRStream because it is faster where the whole
+// instance is in memory: routing materialized runs through runRRStream
+// cost engine-sweep about 6% rr_ns_per_job (DESIGN.md §17).
 //
 // The heap orders by (target, sequence number); on the materialized path
 // sequence numbers equal normalized indices, so simultaneous completions
 // drain in exactly the order the old index-keyed heap produced.
 func runRR(r *rrRun, opts core.Options, s *scratch) error {
-	if steppedAdvance.Load() {
-		return runRRStepped(r, opts)
-	}
 	if r.res != nil {
 		return runRRMat(r, opts, s)
 	}
@@ -218,11 +210,11 @@ func (r *rrMat) complete() {
 // completing before the next arrival in one pass over the heap, stamping
 // completion times analytically (V lands exactly on each popped target).
 // Event counting, context polling, floating-point expressions and exact
-// epoch emission replicate runRRStepped precisely — the property wall in
-// internal/check holds the two byte-identical. When every attached
-// observer tolerates coarse epochs the loop instead emits one aggregate
-// Epoch per maximal busy interval (Coarse == true), dropping the
-// per-event observer dispatch from the drain.
+// epoch emission are runRRStream's; TestStreamingWall* in internal/check
+// holds the two sinks byte-identical. When every attached observer
+// tolerates coarse epochs the loop instead emits one aggregate Epoch per
+// maximal busy interval (Coarse == true), dropping the per-event observer
+// dispatch from the drain.
 func (r *rrMat) run(opts core.Options) error {
 	jobs := r.jobs
 	n := len(jobs)

@@ -140,18 +140,13 @@ func (r *topmRun) keyFor(j core.Job) float64 {
 }
 
 // run executes the top-m event loop; prepareTopM must have been called.
-// The default mode is the bulk-advance loop below: an outer sweep over
-// arrivals with an inner drain popping the whole run of completions that
-// precede the next arrival — the next-arrival time is hoisted per drain
-// (the cursor cannot change while completions pop), and exact epoch
-// emission is skipped entirely when every attached observer tolerates
-// coarse epochs. Event counting, context polling and floating-point
-// expressions replicate runStepped (topm_stepped.go) precisely; the
-// property wall in internal/check holds the two byte-identical.
+// It is a bulk-advance loop: an outer sweep over arrivals with an inner
+// drain popping the whole run of completions that precede the next
+// arrival — the next-arrival time is hoisted per drain (the cursor cannot
+// change while completions pop), and exact epoch emission is skipped
+// entirely when every attached observer tolerates coarse epochs, in favour
+// of one Coarse epoch per maximal busy interval.
 func (r *topmRun) run(opts core.Options) error {
-	if steppedAdvance.Load() {
-		return r.runStepped(opts)
-	}
 	cur, s := r.cur, r.s
 	m, sp := opts.Machines, opts.Speed
 	if !cur.More() {
@@ -176,8 +171,9 @@ func (r *topmRun) run(opts core.Options) error {
 		if hasA {
 			tA = cur.Head().Release
 		}
-		// Drain: completions with tC ≤ tA (ties complete first, as in the
-		// stepped loop), each promoting the best waiting job.
+		// Drain: completions with tC ≤ tA (a completion at an arrival's
+		// instant goes first), each promoting the best waiting job — a free
+		// machine implies an empty waiting set, so one promotion suffices.
 		for byC.Len() > 0 {
 			tC := byC.MinKey()
 			if !(tC <= tA) {

@@ -1,8 +1,8 @@
-// Package queue provides an indexed binary min-heap over the items
-// 0..n−1 keyed by float64 priorities, with decrease-key — the priority
-// queue substrate for Dijkstra in the min-cost-flow solver and for the
-// virtual-time completion queue in the fast simulation engine
-// (internal/fast).
+// Package queue provides the repository's priority queues: an indexed
+// binary min-heap over the items 0..n−1 keyed by float64 priorities, with
+// decrease-key, for Dijkstra in the min-cost-flow solver; and the fast
+// simulation engine's (internal/fast) RR completion queues, PairHeap for
+// materialized runs and JobHeap for streams.
 package queue
 
 // IndexedMinHeap is a binary min-heap over item IDs 0..n−1. Each item may be
