@@ -53,10 +53,10 @@ serve-bench:
 # Differential fuzzing of the fast engine against the reference engine,
 # fuzzing of the rrserve request surface (decoder + spec parser), fuzzing
 # of the hunt shrinker's contract (validity + ratio window), of the trace
-# decoder (totality + round trip, and the in-place NDJSON scanner against
-# encoding/json), and fuzzing of the lint IR builder (CFG/def-use
-# construction must be total over arbitrary syntax). FUZZTIME=5m make fuzz
-# for longer campaigns.
+# decoder (totality + round trip, the in-place NDJSON scanner against
+# encoding/json, and the number scanner against strconv), and fuzzing of
+# the lint IR builder (CFG/def-use construction must be total over
+# arbitrary syntax). FUZZTIME=5m make fuzz for longer campaigns.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzEngineAgreement -fuzztime=$(FUZZTIME) ./internal/check
@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzShrinker -fuzztime=$(FUZZTIME) ./internal/hunt
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzNDJSONLine -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz=FuzzScanNumber -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzLintIR -fuzztime=$(FUZZTIME) ./internal/lint
 
 # Adversarial ratio hunt (see DESIGN.md §14). `make hunt` runs the default

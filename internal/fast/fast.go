@@ -199,8 +199,11 @@ func dispatch(p core.Policy, cur *core.Cursor, res *core.Result, sum *core.Strea
 	switch pp := p.(type) {
 	case policy.RR, *policy.RR:
 		core.BuildMachineEnv(&opts, &s.env)
-		r := rrRun{cur: cur, res: res, sum: sum, h: &s.rrHeap, m: opts.Machines, speed: opts.Speed, obs: opts.Observer, ep: &s.epoch, env: &s.env, hetero: !s.env.Identical()}
-		return runRR(&r, opts, s)
+		if res != nil {
+			return runRRMat(res, opts, s)
+		}
+		r := rrRun{cur: cur, sum: sum, h: &s.rrHeap, m: opts.Machines, speed: opts.Speed, obs: opts.Observer, ep: &s.epoch, env: &s.env, hetero: !s.env.Identical()}
+		return runRRStream(&r, opts, s)
 	case *policy.SRPT:
 		s.prepareTopM(ordSRPT, opts.Speed)
 		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyNone}

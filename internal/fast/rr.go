@@ -5,15 +5,45 @@ import (
 	"rrnorm/internal/queue"
 )
 
-// rrRun is the Round Robin sweep state. admit/complete are methods on a
-// stack-local value rather than closures so that workspace-reuse runs stay
-// allocation-free (captured-variable closures escape to the heap). Exactly
-// one of res (materialized sink) and sum (streaming sink) is non-nil; runRR
-// hands a materialized run to rrMat, so the cursor-fed drain below
-// (runRRStream) serves the streaming sink.
+// Round Robin runs in O((n + completions) log alive) with incremental
+// virtual-time ("fair share") accounting.
+//
+// Under RR every alive job accrues work at the identical rate
+// ρ(t) = min{1, m/n_t}·s, so with V(t) = ∫ ρ(τ) dτ (the cumulative fair
+// share) a job admitted at time t₀ with size p completes exactly when V
+// reaches V(t₀) + p. Arrivals and completions are therefore the only
+// events: the next completion is the smallest completion target in a
+// min-heap, and between consecutive events ρ is constant, so each event
+// costs O(log alive) instead of the reference engine's O(n_t) rate
+// recomputation.
+//
+// dispatch picks one of two bulk-advance drains by sink, which produce
+// byte-identical output (same floating-point expressions, same event
+// counting, same heap total order — the pop sequence of a min-heap under a
+// strict total order is layout-independent):
+//
+//   - rrMat.run (runRRMat), for a materialized result: a queue.PairHeap of
+//     16-byte (target, index) items with columnar SoA side arrays,
+//     iterating the normalized job slice directly (no cursor);
+//   - runRRStream, for a stream: the payload-carrying queue.JobHeap, whose
+//     items hold everything a completion needs, pulling arrivals from the
+//     cursor with O(alive) memory.
+//
+// rrMat is kept beside runRRStream because it is faster where the whole
+// instance is in memory: routing materialized runs through runRRStream
+// cost engine-sweep about 6% rr_ns_per_job (DESIGN.md §17).
+//
+// The heap orders by (target, sequence number); on the materialized path
+// sequence numbers equal normalized indices, so simultaneous completions
+// drain in exactly the order the old index-keyed heap produced.
+
+// rrRun is the streaming Round Robin sweep state, driven by runRRStream;
+// dispatch hands a materialized run to runRRMat instead. admit/complete
+// are methods on a stack-local value rather than closures so that
+// workspace-reuse runs stay allocation-free (captured-variable closures
+// escape to the heap).
 type rrRun struct {
 	cur   *core.Cursor
-	res   *core.Result
 	sum   *core.StreamResult
 	h     *queue.JobHeap
 	now   float64
@@ -44,7 +74,7 @@ func (r *rrRun) admit() {
 		}
 		tol := core.CompletionTol(j.Size)
 		if j.Size <= tol {
-			recordFinish(r.res, r.sum, r.obs, seq, j.Release, r.now)
+			r.finish(seq, j.Release, r.now)
 			continue
 		}
 		r.h.Push(queue.JobItem{Key: r.V + j.Size, Seq: seq, Release: j.Release, Tol: tol})
@@ -61,7 +91,22 @@ func (r *rrRun) complete() {
 			return
 		}
 		r.h.PopMin()
-		recordFinish(r.res, r.sum, r.obs, it.Seq, it.Release, r.now)
+		r.finish(it.Seq, it.Release, r.now)
+	}
+}
+
+// finish records one completion into the stream summary.
+func (r *rrRun) finish(seq int, release, t float64) {
+	flow := t - release
+	r.sum.Completed++
+	if t > r.sum.Makespan {
+		r.sum.Makespan = t
+	}
+	if flow > r.sum.MaxFlow {
+		r.sum.MaxFlow = flow
+	}
+	if r.obs != nil {
+		r.obs.ObserveCompletion(t, seq, flow)
 	}
 }
 
@@ -79,44 +124,6 @@ func (r *rrRun) rateSum(alive int) float64 {
 		return r.env.RRSum(alive)
 	}
 	return identicalRateSum(alive, r.m)
-}
-
-// runRR simulates Round Robin in O((n + completions) log alive) with
-// incremental virtual-time ("fair share") accounting.
-//
-// Under RR every alive job accrues work at the identical rate
-// ρ(t) = min{1, m/n_t}·s, so with V(t) = ∫ ρ(τ) dτ (the cumulative fair
-// share) a job admitted at time t₀ with size p completes exactly when V
-// reaches V(t₀) + p. Arrivals and completions are therefore the only
-// events: the next completion is the smallest completion target in a
-// min-heap, and between consecutive events ρ is constant, so each event
-// costs O(log alive) instead of the reference engine's O(n_t) rate
-// recomputation.
-//
-// The sink picks one of two bulk-advance drains, which produce
-// byte-identical output (same floating-point expressions, same event
-// counting, same heap total order — the pop sequence of a min-heap under a
-// strict total order is layout-independent):
-//
-//   - rrMat.run, for a materialized result: a queue.PairHeap of 16-byte
-//     (target, index) items with columnar SoA side arrays, iterating the
-//     normalized job slice directly (no cursor);
-//   - runRRStream, for a stream: the payload-carrying queue.JobHeap, whose
-//     items hold everything a completion needs, pulling arrivals from the
-//     cursor with O(alive) memory.
-//
-// rrMat is kept beside runRRStream because it is faster where the whole
-// instance is in memory: routing materialized runs through runRRStream
-// cost engine-sweep about 6% rr_ns_per_job (DESIGN.md §17).
-//
-// The heap orders by (target, sequence number); on the materialized path
-// sequence numbers equal normalized indices, so simultaneous completions
-// drain in exactly the order the old index-keyed heap produced.
-func runRR(r *rrRun, opts core.Options, s *scratch) error {
-	if r.res != nil {
-		return runRRMat(r, opts, s)
-	}
-	return runRRStream(r, opts, s)
 }
 
 // rrMat is the batched materialized RR sweep: per-job state lives in
@@ -378,29 +385,29 @@ func (r *rrMat) run(opts core.Options) error {
 
 // runRRMat prepares and runs the batched materialized sweep: the heap and
 // SoA columns come from the scratch (grown once, reused run after run), so
-// steady-state runs allocate nothing.
-func runRRMat(r *rrRun, opts core.Options, s *scratch) error {
-	n := len(r.res.Jobs)
+// steady-state runs allocate nothing. s.env holds opts' machine environment.
+func runRRMat(res *core.Result, opts core.Options, s *scratch) error {
+	n := len(res.Jobs)
 	if n == 0 {
 		return nil
 	}
 	s.rrPair.Reuse(0) // capacity tracks the peak alive set
 	mr := rrMat{
-		res:    r.res,
-		jobs:   r.res.Jobs,
+		res:    res,
+		jobs:   res.Jobs,
 		h:      &s.rrPair,
 		rt:     sizedPairs(&s.soaRelTol, n),
-		m:      r.m,
-		speed:  r.speed,
-		env:    r.env,
-		hetero: r.hetero,
-		obs:    r.obs,
-		ep:     r.ep,
+		m:      opts.Machines,
+		speed:  opts.Speed,
+		env:    &s.env,
+		hetero: !s.env.Identical(),
+		obs:    opts.Observer,
+		ep:     &s.epoch,
 	}
-	if r.hetero {
-		mr.shares = (*[rateTabSize]float64)(s.fairShares(r.env))
+	if mr.hetero {
+		mr.shares = (*[rateTabSize]float64)(s.fairShares(mr.env))
 	} else {
-		mr.ratio = (*[rateTabSize]float64)(s.rateRatios(r.m))
+		mr.ratio = (*[rateTabSize]float64)(s.rateRatios(mr.m))
 	}
 	return mr.run(opts)
 }
@@ -503,14 +510,14 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 			// Inlined complete(), as in rrMat.run: the top entry's key is
 			// exactly V, so it pops unconditionally before the group drain.
 			it := h.PopMin()
-			recordFinish(r.res, r.sum, r.obs, it.Seq, it.Release, tC)
+			r.finish(it.Seq, it.Release, tC)
 			for h.Len() > 0 {
 				it = h.Min()
 				if it.Key-minKey > it.Tol {
 					break
 				}
 				h.PopMin()
-				recordFinish(r.res, r.sum, r.obs, it.Seq, it.Release, tC)
+				r.finish(it.Seq, it.Release, tC)
 			}
 			if coarse && tC == batchStart { //rrlint:ignore floateq instant identity: tC and batchStart carry the same propagated bits, not approximations
 				// Zero-length completion at the interval's opening instant:

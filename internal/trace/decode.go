@@ -300,10 +300,10 @@ const (
 // values and JSON whitespace between tokens — the shape Encode writes. It
 // reports false for any other line, and decodeJSON then judges it: that
 // path alone accepts or rejects non-canonical input and words its errors.
-// Numbers are converted with the calls encoding/json makes for these field
-// types (strconv.ParseInt base 10, strconv.ParseFloat at 64 bits), so an
-// accepted line decodes bit-identically; a number either call rejects also
-// sends the line to decodeJSON.
+// Each value is checked and converted in one walk (parseInt, parseFloat),
+// bit-identical to the strconv calls encoding/json makes for these field
+// types, so an accepted line decodes as decodeJSON would decode it; a
+// number either call rejects also sends the line to decodeJSON.
 func scanNDJSON(b []byte) (core.Job, bool) {
 	var j core.Job
 	if len(b) == 0 || b[0] != '{' {
@@ -329,39 +329,29 @@ func scanNDJSON(b []byte) (core.Job, bool) {
 			return j, false
 		}
 		i = skipJSONSpace(b, i+1)
-		n = jsonNumberLen(b[i:])
-		if n == 0 {
-			return j, false
-		}
-		num := b[i : i+n]
-		i = skipJSONSpace(b, i+n)
 		var bit uint8
-		var err error
+		var ok bool
 		switch string(key) {
 		case "id":
-			var id int64
 			bit = keyID
-			id, err = strconv.ParseInt(string(num), 10, 64)
-			j.ID = int(id)
-			if int64(j.ID) != id {
-				return j, false // encoding/json's OverflowInt on 32-bit int
-			}
+			j.ID, n, ok = parseInt(b[i:])
 		case "release":
 			bit = keyRelease
-			j.Release, err = strconv.ParseFloat(string(num), 64)
+			j.Release, n, ok = parseFloat(b[i:])
 		case "size":
 			bit = keySize
-			j.Size, err = strconv.ParseFloat(string(num), 64)
+			j.Size, n, ok = parseFloat(b[i:])
 		case "weight":
 			bit = keyWeight
-			j.Weight, err = strconv.ParseFloat(string(num), 64)
+			j.Weight, n, ok = parseFloat(b[i:])
 		default:
 			return j, false
 		}
-		if err != nil || seen&bit != 0 {
+		if !ok || seen&bit != 0 {
 			return j, false
 		}
 		seen |= bit
+		i = skipJSONSpace(b, i+n)
 		if i == len(b) {
 			return j, false
 		}
@@ -380,51 +370,6 @@ func scanNDJSON(b []byte) (core.Job, bool) {
 // not JSON whitespace.
 func skipJSONSpace(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
-		i++
-	}
-	return i
-}
-
-// jsonNumberLen returns the length of the JSON number (RFC 8259 §6) that b
-// starts with, or 0 when it starts with none. After a leading zero the
-// number ends, so "01" scans as "0" and the caller rejects the stray "1".
-func jsonNumberLen(b []byte) int {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return 0
-	}
-	if i < len(b) && b[i] == '.' {
-		k := skipDigits(b, i+1)
-		if k == i+1 {
-			return 0
-		}
-		i = k
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		k := skipDigits(b, i)
-		if k == i {
-			return 0
-		}
-		i = k
-	}
-	return i
-}
-
-// skipDigits returns the index of the first non-digit at or after i.
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
 	}
 	return i
@@ -502,57 +447,61 @@ func (d *Decoder) parseHeader(line string) error {
 	return nil
 }
 
-// parseCSV decodes one data row in place: fields are split with
-// bytes.IndexByte and trimmed with bytes.TrimSpace (the Unicode spaces
-// strings.TrimSpace trims), so no string copy or []string is built. Each
-// field must be one JSON number (isJSONNumber), and the id an integer.
+// parseCSV decodes one data row in place: the row is split once with
+// bytes.IndexByte and each field trimmed with bytes.TrimSpace (the Unicode
+// spaces strings.TrimSpace trims), so no string copy or []string is built.
+// A wrong field count is reported before any field error. Each field must
+// be exactly one JSON number (parseFloat), and the id an integer literal
+// (parseInt), so a CSV field means what the same value means in NDJSON: Go
+// literal forms such as "+2", "007", "0x1p-2", "1_0" or "inf" are errors,
+// not other numbers.
 func (d *Decoder) parseCSV(line []byte) (core.Job, error) {
-	if n := bytes.Count(line, comma) + 1; n != len(d.cols) {
-		return core.Job{}, &DecodeError{Line: d.line, Reason: fmt.Sprintf("%d fields, header has %d columns", n, len(d.cols))}
+	var fields [4][]byte // parseHeader admits at most four columns
+	nf := 0
+	for rest := line; ; {
+		k := bytes.IndexByte(rest, ',')
+		v := rest
+		if k >= 0 {
+			v = rest[:k]
+		}
+		if nf < len(fields) {
+			fields[nf] = v
+		}
+		nf++
+		if k < 0 {
+			break
+		}
+		rest = rest[k+1:]
+	}
+	if nf != len(d.cols) {
+		return core.Job{}, &DecodeError{Line: d.line, Reason: fmt.Sprintf("%d fields, header has %d columns", nf, len(d.cols))}
 	}
 	var j core.Job
-	for _, col := range d.cols {
-		v := line
-		if k := bytes.IndexByte(line, ','); k >= 0 {
-			v, line = line[:k], line[k+1:]
-		}
-		v = bytes.TrimSpace(v)
-		switch col {
-		case "id":
-			id, err := strconv.Atoi(string(v))
-			if err != nil || !isJSONNumber(v) { // Atoi admits only [+-]digits
+	for c, col := range d.cols {
+		v := bytes.TrimSpace(fields[c])
+		if col == "id" {
+			id, n, ok := parseInt(v)
+			if !ok || n != len(v) {
 				return core.Job{}, &DecodeError{Line: d.line, Field: "id", Reason: fmt.Sprintf("invalid integer %q", v)}
 			}
 			j.ID = id
-		default:
-			f, err := strconv.ParseFloat(string(v), 64)
-			if err != nil || !isJSONNumber(v) {
-				return core.Job{}, &DecodeError{Line: d.line, Field: col, Reason: fmt.Sprintf("invalid number %q", v)}
-			}
-			switch col {
-			case "release":
-				j.Release = f
-			case "size":
-				j.Size = f
-			case "weight":
-				j.Weight = f
-			}
+			continue
+		}
+		f, n, ok := parseFloat(v)
+		if !ok || n != len(v) {
+			return core.Job{}, &DecodeError{Line: d.line, Field: col, Reason: fmt.Sprintf("invalid number %q", v)}
+		}
+		switch col {
+		case "release":
+			j.Release = f
+		case "size":
+			j.Size = f
+		case "weight":
+			j.Weight = f
 		}
 	}
 	return j, nil
 }
-
-// isJSONNumber reports whether v is exactly one JSON number (RFC 8259 §6),
-// the grammar NDJSON values use, so a CSV field means what the same value
-// means in NDJSON: Go literal forms such as "+2", "007", "0x1p-2", "1_0"
-// or "inf" are errors, not other numbers.
-func isJSONNumber(v []byte) bool {
-	n := jsonNumberLen(v)
-	return n > 0 && n == len(v)
-}
-
-// comma is the CSV field separator, as bytes.Count's separator argument.
-var comma = []byte{','}
 
 // Encode writes jobs as a job trace in the given format — the inverse of
 // Decoder, used to export instances as replayable fixtures. Floats are

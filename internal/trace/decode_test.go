@@ -33,6 +33,9 @@ func TestDecodeNDJSON(t *testing.T) {
 {"id":1,"release":0.5,"size":1.25,"weight":3}
 
 {"id":2,"release":0.5,"size":0}
+{"id":3,"release":0.5000000000000000000000000001,"size":1e-400}
+{"id":4,"release":0.5,"size":9007199254740993}
+{"id":5,"release":0.5,"size":1.00000000000000011102230246251565404236316680908203125}
 `
 	jobs, err := drain(t, trace.NewDecoder(strings.NewReader(in), trace.DecodeOptions{}))
 	if err != nil {
@@ -42,6 +45,11 @@ func TestDecodeNDJSON(t *testing.T) {
 		{ID: 0, Release: 0, Size: 2},
 		{ID: 1, Release: 0.5, Size: 1.25, Weight: 3},
 		{ID: 2, Release: 0.5, Size: 0},
+		// The numbers the Eisel–Lemire path hands to strconv: more than 19
+		// digits, an exponent past the power table, exact halfway cases.
+		{ID: 3, Release: 0.5, Size: 0},
+		{ID: 4, Release: 0.5, Size: 9007199254740992},
+		{ID: 5, Release: 0.5, Size: 1},
 	}
 	if len(jobs) != len(want) {
 		t.Fatalf("decoded %d jobs, want %d", len(jobs), len(want))
@@ -59,12 +67,18 @@ func TestDecodeCSV(t *testing.T) {
 		"# mid-trace comment\n" +
 		"\u00a03\u00a0,2,0.25\n" + // U+00A0 padding
 		"1e1,-3,2.5E-1\n" + // exponents and a negative id, as JSON writes them
-		"1.25, 1, 0.5\n"
+		"1.25, 1, 0.5\n" +
+		"1,4,0.5000000000000000000000000001\n" + // more than 19 digits
+		"1e-400,5,0.5\n" + // exponent below the power table: size 0
+		"9007199254740993,6,0.5\n" + // halfway: ties to even
+		"1.00000000000000011102230246251565404236316680908203125,7,0.5\n" // halfway, 55 digits
 	jobs, err := drain(t, trace.NewDecoder(strings.NewReader(in), trace.DecodeOptions{Format: trace.FormatCSV}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []core.Job{{ID: 0, Release: 0, Size: 2}, {ID: 2, Release: 0.25, Size: 3}, {ID: -3, Release: 0.25, Size: 10}, {ID: 1, Release: 0.5, Size: 1.25}}
+	want = append(want, core.Job{ID: 4, Release: 0.5, Size: 1}, core.Job{ID: 5, Release: 0.5, Size: 0},
+		core.Job{ID: 6, Release: 0.5, Size: 9007199254740992}, core.Job{ID: 7, Release: 0.5, Size: 1})
 	if !slices.Equal(jobs, want) {
 		t.Fatalf("decoded %+v, want %+v", jobs, want)
 	}
@@ -224,6 +238,17 @@ func TestDecodeMalformed(t *testing.T) {
 			opts: trace.DecodeOptions{Format: trace.FormatCSV},
 			in:   "id,release,size\n0, ,1\n",
 			line: 2, field: "release", frag: `invalid number ""`,
+		},
+		{
+			name: "csv overflowing size",
+			opts: trace.DecodeOptions{Format: trace.FormatCSV},
+			in:   "id,release,size\n0,0,1e400\n",
+			line: 2, field: "size", frag: `invalid number "1e400"`,
+		},
+		{
+			name: "overflowing size",
+			in:   `{"id":0,"release":0,"size":1e400}`,
+			line: 1, frag: "invalid JSON",
 		},
 		{
 			name: "csv lowercase inf size",
