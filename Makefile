@@ -54,9 +54,11 @@ serve-bench:
 # fuzzing of the rrserve request surface (decoder + spec parser), fuzzing
 # of the hunt shrinker's contract (validity + ratio window), of the trace
 # decoder (totality + round trip, the in-place NDJSON scanner against
-# encoding/json, and the number scanner against strconv), and fuzzing of
-# the lint IR builder (CFG/def-use construction must be total over
-# arbitrary syntax). FUZZTIME=5m make fuzz for longer campaigns.
+# encoding/json, and the number scanner against strconv), of the gzip
+# reader (FuzzGunzip: delivered bytes, verdict and error class against
+# compress/gzip), and fuzzing of the lint IR builder (CFG/def-use
+# construction must be total over arbitrary syntax). FUZZTIME=5m make fuzz
+# for longer campaigns.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzEngineAgreement -fuzztime=$(FUZZTIME) ./internal/check
@@ -65,6 +67,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzNDJSONLine -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzScanNumber -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz=FuzzGunzip -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzLintIR -fuzztime=$(FUZZTIME) ./internal/lint
 
 # Adversarial ratio hunt (see DESIGN.md §14). `make hunt` runs the default
@@ -90,7 +93,10 @@ hunt-smoke:
 # the JobSource path (every policy, file and stdin) and require
 # byte-identical reports. fixture.csv holds the same 400 jobs, written by
 # trace.Encode in CSV; its report must match the NDJSON one byte for byte,
-# which checks the CSV number grammar end to end.
+# which checks the CSV number grammar end to end. fixture.ndjson.gz is the
+# NDJSON fixture compressed by GNU gzip -9n, a second encoder's block
+# layout for the gzip reader; replayed from the file (every policy) and
+# through stdin (SRPT), it must report what the plain NDJSON does.
 replay-smoke:
 	$(GO) build -o /tmp/rrsim-smoke ./cmd/rrsim
 	/tmp/rrsim-smoke -replay testdata/replay/fixture.ndjson -policy all -m 2 > /tmp/rrsim-replay-1.txt
@@ -100,7 +106,11 @@ replay-smoke:
 	cmp /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-csv.txt
 	/tmp/rrsim-smoke -replay - -policy SRPT -m 2 < testdata/replay/fixture.ndjson > /tmp/rrsim-replay-stdin.txt
 	grep -q '^SRPT' /tmp/rrsim-replay-stdin.txt
-	rm -f /tmp/rrsim-smoke /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-2.txt /tmp/rrsim-replay-csv.txt /tmp/rrsim-replay-stdin.txt
+	/tmp/rrsim-smoke -replay testdata/replay/fixture.ndjson.gz -policy all -m 2 > /tmp/rrsim-replay-gz.txt
+	cmp /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-gz.txt
+	/tmp/rrsim-smoke -replay - -policy SRPT -m 2 < testdata/replay/fixture.ndjson.gz > /tmp/rrsim-replay-gz-stdin.txt
+	cmp /tmp/rrsim-replay-stdin.txt /tmp/rrsim-replay-gz-stdin.txt
+	rm -f /tmp/rrsim-smoke /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-2.txt /tmp/rrsim-replay-csv.txt /tmp/rrsim-replay-stdin.txt /tmp/rrsim-replay-gz.txt /tmp/rrsim-replay-gz-stdin.txt
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

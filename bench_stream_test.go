@@ -2,6 +2,7 @@ package rrnorm_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -42,9 +43,10 @@ func streamSource(n int) *workload.StreamSource {
 // fast-engine RR run with a StreamNorm attached allocates nothing per job
 // in steady state, whether it pulls from a synthetic StreamSource or
 // decodes the same stream from an NDJSON or CSV trace through
-// trace.NewDecoder — the whole replay pipeline past gunzip. A run may pay
-// only a small constant: constructing the one-shot source, plus O(log n)
-// appends growing the decoder's dense id bitset.
+// trace.NewDecoder, gzip-compressed or not — the whole replay pipeline. A
+// run may pay only a small constant: constructing the one-shot source and
+// the gzip reader, plus O(log n) appends growing the decoder's dense id
+// bitset.
 func TestStreamAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is disturbed by -short test interleavings")
@@ -116,6 +118,44 @@ func TestStreamAllocBudget(t *testing.T) {
 		if got > 32 {
 			t.Errorf("%v allocs/run replaying a %d-job %v trace; the decoder should cost a constant plus O(log n) bitset growth, ≤ 32", got, n, f)
 		}
+	}
+
+	// The gzip leg: the NDJSON stream gzip-compressed, read through
+	// trace.MaybeGunzip as rrsim -replay reads it. The gunzip layer
+	// allocates only when its reader is built, so its share of the count —
+	// the leg's allocs less the plain NDJSON leg's at the same n, which
+	// carry the id bitset's O(log n) growth — must not move with n.
+	var share [2]float64
+	for i, m := range []int{50_000, n} {
+		var plain, zipped bytes.Buffer
+		if err := trace.Encode(&plain, in.Jobs[:m], trace.FormatNDJSON); err != nil {
+			t.Fatal(err)
+		}
+		zw := gzip.NewWriter(&zipped)
+		if _, err := zw.Write(plain.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		base := measure(m, opts, func() core.JobSource {
+			return trace.NewDecoder(bytes.NewReader(plain.Bytes()), trace.DecodeOptions{})
+		})
+		got := measure(m, opts, func() core.JobSource {
+			r, err := trace.MaybeGunzip(bytes.NewReader(zipped.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return trace.NewDecoder(r, trace.DecodeOptions{})
+		})
+		if got > 32 {
+			t.Errorf("%v allocs/run replaying a %d-job gzip NDJSON trace; gunzip should add a constant, ≤ 32 in all", got, m)
+		}
+		t.Logf("gzip NDJSON leg, n=%d: %v allocs/run (plain NDJSON %v)", m, got, base)
+		share[i] = got - base
+	}
+	if share[0] != share[1] {
+		t.Errorf("gunzip allocs/run grew with n: %v at 50k jobs vs %v at 200k — gunzip may allocate only when its reader is built", share[0], share[1])
 	}
 }
 

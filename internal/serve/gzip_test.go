@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"net/http"
 	"strings"
 	"testing"
@@ -82,6 +84,18 @@ func TestReplayGzipRoundTrip(t *testing.T) {
 		t.Fatalf("cached gzip response differs from plain response")
 	}
 
+	// Two gzip members decompress to their concatenation: a body split at
+	// a line boundary and compressed in two parts replays as the whole.
+	cut := bytes.IndexByte(tr[len(tr)/2:], '\n') + len(tr)/2 + 1
+	two := append(gzipBody(t, tr[:cut]), gzipBody(t, tr[cut:])...)
+	resp, twoBody := postReplayEnc(t, ts.URL, query, two, "", "gzip")
+	if resp.StatusCode != 200 {
+		t.Fatalf("two-member gzip: status %d, body %s", resp.StatusCode, twoBody)
+	}
+	if !bytes.Equal(twoBody, plain) {
+		t.Fatalf("two-member gzip response differs from plain response:\n%s\nvs\n%s", twoBody, plain)
+	}
+
 	// An "identity" declaration is the plain path.
 	resp, idb := postReplayEnc(t, ts.URL, query, tr, "", "identity")
 	if resp.StatusCode != 200 {
@@ -112,6 +126,34 @@ func TestReplayGzipMalformed(t *testing.T) {
 	resp, body = postReplayEnc(t, ts.URL, query, zb[:len(zb)/2], "", "gzip")
 	if resp.StatusCode != 400 {
 		t.Fatalf("truncated gzip: status %d, body %s", resp.StatusCode, body)
+	}
+
+	// Damage that only the trailer, the bytes after it or the header's own
+	// CRC-16 can show: every byte of the trace decompresses, yet the body
+	// is rejected.
+	flip := func(i int) []byte {
+		b := append([]byte(nil), zb...)
+		b[i] ^= 0x01
+		return b
+	}
+	// A header with FHCRC set and its CRC-16 off by one.
+	hdr := append([]byte(nil), zb[:10]...)
+	hdr[3] |= 1 << 1
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(crc32.ChecksumIEEE(hdr))+1)
+	for name, b := range map[string][]byte{
+		"crc-32 mismatch":                 flip(len(zb) - 8),
+		"isize mismatch":                  flip(len(zb) - 4),
+		"garbage after a complete member": append(append([]byte(nil), zb...), "this is not a gzip member"...),
+		"fhcrc mismatch":                  append(hdr, zb[10:]...),
+	} {
+		resp, body := postReplayEnc(t, ts.URL, query, b, "", "gzip")
+		if resp.StatusCode != 400 {
+			t.Errorf("%s: status %d, body %s", name, resp.StatusCode, body)
+			continue
+		}
+		if !strings.Contains(string(body), "gzip") {
+			t.Errorf("%s: error %q does not mention gzip", name, body)
+		}
 	}
 }
 

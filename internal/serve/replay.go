@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -304,11 +303,10 @@ func (s *Server) runReplay(ctx context.Context, rp *replayParams, body io.Reader
 	lr := &limitReader{r: io.TeeReader(body, h), left: MaxReplayBodyBytes}
 	var tr io.Reader = lr
 	if rp.gzip {
-		zr, err := gzip.NewReader(lr)
+		zr, err := trace.NewGzipReader(lr)
 		if err != nil {
 			return nil, badRequest("malformed gzip body: %v", err)
 		}
-		defer zr.Close()
 		tr = &limitReader{r: zr, left: MaxReplayGunzipBytes, errLimit: errGunzipTooLarge}
 	}
 	var src core.JobSource = trace.NewDecoder(tr, trace.DecodeOptions{Format: rp.format, Sort: rp.sort})
