@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fmt-check lint lint-fix-check bench bench-engine bench-smoke perfbench-smoke fuzz hunt hunt-smoke replay-smoke suite serve serve-test serve-bench clean
+.PHONY: build test verify fmt-check lint lint-fix-check bench bench-engine bench-smoke perfbench-smoke fuzz hunt hunt-smoke replay-smoke suite results-check serve serve-test serve-bench clean
 
 build:
 	$(GO) build ./...
@@ -156,6 +156,27 @@ perfbench-smoke:
 # Regenerate the experiment suite into results/.
 suite:
 	$(GO) run ./cmd/rrbench -out results -html results/report.html -parallel
+
+# Regenerate the full suite into a temp dir and require every committed
+# results/*.csv byte for byte; a CSV the suite no longer writes, or one it
+# writes that results/ does not hold, fails too. About 3 min with
+# -parallel on 2 vCPUs. The quick suite's tripwire is a tier-1 test
+# (TestAllExperimentsRunQuick against internal/exp/testdata/quick_digests.txt).
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/rrbench -out "$$tmp" -parallel > "$$tmp/suite.log" 2>&1 || { tail -20 "$$tmp/suite.log"; exit 1; }; \
+	fail=0; \
+	for f in results/*.csv; do \
+		b=$$(basename "$$f"); \
+		if [ ! -f "$$tmp/$$b" ]; then echo "results-check: the suite no longer writes $$b"; fail=1; \
+		elif ! cmp -s "$$f" "$$tmp/$$b"; then echo "results-check: $$b differs from the committed copy:"; diff "$$f" "$$tmp/$$b" | head -20; fail=1; fi; \
+	done; \
+	for f in "$$tmp"/*.csv; do \
+		b=$$(basename "$$f"); \
+		[ -f "results/$$b" ] || { echo "results-check: the suite writes $$b, which results/ does not hold"; fail=1; }; \
+	done; \
+	[ $$fail -eq 0 ] && echo "results-check: all $$(ls results/*.csv | wc -l) CSVs match"; \
+	exit $$fail
 
 clean:
 	rm -rf results

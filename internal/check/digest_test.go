@@ -206,9 +206,8 @@ func digestFamilyRow(t *testing.T, fam string, inputs []digestInput, name string
 }
 
 // digestObs hashes an observer's complete event stream: every arrival, every
-// epoch field including Coarse, every completion and the done header. It
-// does not opt into coarse epochs, so the fast engine delivers its exact
-// per-event epochs to it.
+// epoch field, every completion and the done header. It is not epoch-blind,
+// so the fast engine delivers its exact per-event epochs to it.
 type digestObs struct{ b *bitHasher }
 
 func (o digestObs) ObserveArrival(t float64, job int, j core.Job) {
@@ -224,11 +223,7 @@ func (o digestObs) ObserveEpoch(e *core.Epoch) {
 	o.b.float(e.End)
 	o.b.int(e.Alive)
 	o.b.float(e.RateSum)
-	coarse := 0
-	if e.Coarse {
-		coarse = 1
-	}
-	o.b.int(coarse)
+	o.b.int(0) // where the retired Coarse flag was hashed; keeps the committed digests
 	o.b.spill()
 }
 
@@ -247,7 +242,7 @@ func (o digestObs) ObserveDone(res *core.Result) {
 // digestObserverRow hashes what observers see of one family under one
 // case. Materialized: the event stream digestObs records, then the
 // StreamNorm(1, 2, 3) norm bits and Events of a second run with only the
-// coarse-tolerant StreamNorm attached, which takes the drains' coarse
+// epoch-blind StreamNorm attached, which takes the drains' epoch-free
 // branch. Streaming: the event stream digestObs records. (StreamNorm alone
 // on the streaming sink is the plain row's streaming digest.)
 func digestObserverRow(t *testing.T, fam string, inputs []digestInput, name string, ws *core.Workspace) (mat, str string) {
@@ -267,7 +262,7 @@ func digestObserverRow(t *testing.T, fam string, inputs []digestInput, name stri
 		co.Observer = sn
 		res, err := fast.RunWS(di.in, p, co, ws)
 		if err != nil {
-			t.Fatalf("%s/%s input %d: coarse materialized run: %v", fam, name, i, err)
+			t.Fatalf("%s/%s input %d: epoch-blind materialized run: %v", fam, name, i, err)
 		}
 		for _, k := range []int{1, 2, 3} {
 			hm.float(sn.Norm(k))

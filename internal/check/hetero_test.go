@@ -113,7 +113,7 @@ func TestHeteroCapacityBound(t *testing.T) {
 					t.Fatalf("seed %d %s: epoch [%g,%g) rate sum %.17g exceeds total capacity %.17g",
 						seed, p.Name(), e.Start, e.End, e.RateSum, env.TotalSpeed())
 				}
-				if !e.Coarse && e.Alive <= env.M && e.RateSum > env.PrefixSpeed(e.Alive)+1e-6 {
+				if e.Alive <= env.M && e.RateSum > env.PrefixSpeed(e.Alive)+1e-6 {
 					t.Fatalf("seed %d %s: epoch [%g,%g) alive=%d rate sum %.17g exceeds %d-fastest capacity %.17g",
 						seed, p.Name(), e.Start, e.End, e.Alive, e.RateSum, e.Alive, env.PrefixSpeed(e.Alive))
 				}

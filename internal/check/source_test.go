@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -136,40 +137,59 @@ func runWall(t *testing.T, label string, in *core.Instance, p core.Policy, opts 
 	}
 
 	// Observer event streams: same loop, same callbacks, same order.
-	if srec.done != 1 || mrec.done != 1 {
-		t.Fatalf("%s: ObserveDone fired %d (stream) / %d (materialized) times, want 1", label, srec.done, mrec.done)
+	if d := eventsDiff(srec, mrec); d != "" {
+		t.Fatalf("%s: stream vs materialized: %s", label, d)
 	}
-	if srec.doneP != mrec.doneP || srec.doneE != mrec.doneE {
-		t.Fatalf("%s: ObserveDone header: stream {%s %d} vs materialized {%s %d}",
-			label, srec.doneP, srec.doneE, mrec.doneP, mrec.doneE)
+	if d := epochsDiff(srec, mrec); d != "" {
+		t.Fatalf("%s: stream vs materialized: %s", label, d)
 	}
-	if len(srec.arrT) != len(mrec.arrT) {
-		t.Fatalf("%s: %d arrivals streamed vs %d materialized", label, len(srec.arrT), len(mrec.arrT))
+}
+
+// eventsDiff describes the first difference between two recorders'
+// ObserveDone headers, arrivals and completions, compared bit for bit, or
+// returns "" when they agree. Each recorder must have seen exactly one
+// ObserveDone.
+func eventsDiff(a, b *wallObs) string {
+	if a.done != 1 || b.done != 1 {
+		return fmt.Sprintf("ObserveDone fired %d / %d times, want 1", a.done, b.done)
 	}
-	for i := range srec.arrT {
-		if srec.arrT[i] != mrec.arrT[i] || srec.arrJ[i] != mrec.arrJ[i] ||
-			srec.arrR[i] != mrec.arrR[i] || srec.arrS[i] != mrec.arrS[i] {
-			t.Fatalf("%s: arrival %d: stream (t=%.17g job=%d r=%.17g s=%.17g) vs materialized (t=%.17g job=%d r=%.17g s=%.17g)",
-				label, i, srec.arrT[i], srec.arrJ[i], srec.arrR[i], srec.arrS[i],
-				mrec.arrT[i], mrec.arrJ[i], mrec.arrR[i], mrec.arrS[i])
+	if a.doneP != b.doneP || a.doneE != b.doneE {
+		return fmt.Sprintf("ObserveDone header {%s %d} vs {%s %d}", a.doneP, a.doneE, b.doneP, b.doneE)
+	}
+	if len(a.arrT) != len(b.arrT) {
+		return fmt.Sprintf("%d arrivals vs %d", len(a.arrT), len(b.arrT))
+	}
+	for i := range a.arrT {
+		if a.arrT[i] != b.arrT[i] || a.arrJ[i] != b.arrJ[i] || a.arrR[i] != b.arrR[i] || a.arrS[i] != b.arrS[i] {
+			return fmt.Sprintf("arrival %d: (t=%.17g job=%d r=%.17g s=%.17g) vs (t=%.17g job=%d r=%.17g s=%.17g)",
+				i, a.arrT[i], a.arrJ[i], a.arrR[i], a.arrS[i], b.arrT[i], b.arrJ[i], b.arrR[i], b.arrS[i])
 		}
 	}
-	if len(srec.eps) != len(mrec.eps) {
-		t.Fatalf("%s: %d epochs streamed vs %d materialized", label, len(srec.eps), len(mrec.eps))
+	if len(a.compT) != len(b.compT) {
+		return fmt.Sprintf("%d completions vs %d", len(a.compT), len(b.compT))
 	}
-	for i := range srec.eps {
-		a, b := srec.eps[i], mrec.eps[i]
-		if a.Start != b.Start || a.End != b.End || a.Alive != b.Alive || a.RateSum != b.RateSum {
-			t.Fatalf("%s: epoch %d: stream %+v vs materialized %+v", label, i, a, b)
+	for i := range a.compT {
+		if a.compT[i] != b.compT[i] || a.compJ[i] != b.compJ[i] || a.flow[i] != b.flow[i] {
+			return fmt.Sprintf("completion %d: (t=%.17g job=%d flow=%.17g) vs (t=%.17g job=%d flow=%.17g)",
+				i, a.compT[i], a.compJ[i], a.flow[i], b.compT[i], b.compJ[i], b.flow[i])
 		}
 	}
-	for i := range srec.compT {
-		if srec.compT[i] != mrec.compT[i] || srec.compJ[i] != mrec.compJ[i] || srec.flow[i] != mrec.flow[i] {
-			t.Fatalf("%s: completion %d: stream (t=%.17g job=%d flow=%.17g) vs materialized (t=%.17g job=%d flow=%.17g)",
-				label, i, srec.compT[i], srec.compJ[i], srec.flow[i],
-				mrec.compT[i], mrec.compJ[i], mrec.flow[i])
+	return ""
+}
+
+// epochsDiff describes the first difference between two recorders' epoch
+// streams, compared bit for bit, or returns "" when they agree.
+func epochsDiff(a, b *wallObs) string {
+	if len(a.eps) != len(b.eps) {
+		return fmt.Sprintf("%d epochs vs %d", len(a.eps), len(b.eps))
+	}
+	for i := range a.eps {
+		x, y := a.eps[i], b.eps[i]
+		if x.Start != y.Start || x.End != y.End || x.Alive != y.Alive || x.RateSum != y.RateSum {
+			return fmt.Sprintf("epoch %d: %+v vs %+v", i, x, y)
 		}
 	}
+	return ""
 }
 
 // TestStreamingWallBulk drives the 1200-seed random corpus through the

@@ -21,7 +21,9 @@ package core
 //     which the engine's alive set and rates are constant, in
 //     chronological order; epochs never overlap, cover exactly the busy
 //     time, and follow the arrivals at their start time. Zero-length
-//     epochs are never emitted.
+//     epochs are never emitted. An epoch-blind run — every attached
+//     observer a CoarseEpochObserver answering true — may receive no
+//     epochs at all: the fast engine makes no ObserveEpoch calls there.
 //   - ObserveCompletion fires once per job at its completion time, after
 //     the epoch that completed it.
 //   - ObserveDone fires exactly once, after the final completion, with
@@ -72,23 +74,11 @@ type Epoch struct {
 	// advance time (parity with the Segments it records there) — the fast
 	// paths never emit zero-length epochs.
 	Start, End float64
-	// Alive is n_t, the number of alive jobs throughout the interval —
-	// except on a Coarse epoch, where it is the alive count once the
-	// aggregated interval's opening instant has fully played out (all
-	// simultaneous arrivals admitted, all zero-length completions taken):
-	// a snapshot, not a constant.
+	// Alive is n_t, the number of alive jobs throughout the interval.
 	Alive int
 	// RateSum is Σ_j rate_j (pre-speed machine shares), so
 	// RateSum·(End−Start) is the machine-time consumed in the interval.
-	// On a Coarse epoch it is the opening snapshot, like Alive.
 	RateSum float64
-	// Coarse marks an aggregate epoch batch from a bulk-advance engine
-	// path: Start/End still bound busy time exactly and coarse epochs
-	// still never overlap, but Alive/RateSum are opening snapshots and one
-	// coarse epoch may span many rate changes. Engines emit coarse epochs
-	// only when every attached observer opts in via CoarseEpochObserver;
-	// exact (per rate-constant interval) epochs are the default.
-	Coarse bool
 	// Jobs holds normalized job indices in (Release, ID) order and Rates
 	// the matching pre-speed shares — nil when the engine only tracks
 	// aggregates. Engine-owned: copy-or-drop.
@@ -126,26 +116,25 @@ func ObserverNeedsJobEpochs(o Observer) bool {
 	return false
 }
 
-// CoarseEpochObserver is implemented by observers that do not depend on
-// the exact per-interval epoch stream — StreamNorm, for example, reduces
-// completions only. When every observer attached to a run answers true,
-// a bulk-advance engine path may batch whole stretches of rate-constant
-// intervals into aggregate Epochs (Coarse == true) instead of emitting
-// one callback per interval, which removes the per-event observer
-// dispatch from the hot loop. Observers that reduce epochs (Timeline,
-// Witness, the trace writer) simply do not implement the interface and
-// keep receiving the exact stream, bitwise identical to the per-event
-// paths.
+// CoarseEpochObserver is implemented by epoch-blind observers: ones that
+// read no epochs — StreamNorm, for example, reduces completions only. When
+// every observer attached to a run answers true, the fast engine makes no
+// ObserveEpoch calls at all, which removes the per-event observer dispatch
+// from its drains; arrivals, completions and ObserveDone are delivered as
+// usual. The reference engine still delivers epochs, which such an
+// observer ignores. Observers that reduce epochs (Timeline, Witness, the
+// trace writer) do not implement the interface and receive the exact
+// stream.
 type CoarseEpochObserver interface {
 	Observer
-	// CoarseEpochsOK reports that the observer tolerates aggregate
-	// (Coarse) epochs in place of the exact per-interval stream.
+	// CoarseEpochsOK reports that the observer reads no epochs, so engines
+	// may skip its ObserveEpoch calls.
 	CoarseEpochsOK() bool
 }
 
-// ObserverCoarseEpochsOK reports whether o tolerates coarse epochs: it is
-// nil (nothing to deliver to) or implements CoarseEpochObserver and
-// answers true.
+// ObserverCoarseEpochsOK reports whether o is epoch-blind: it is nil
+// (nothing to deliver to) or implements CoarseEpochObserver and answers
+// true.
 func ObserverCoarseEpochsOK(o Observer) bool {
 	if o == nil {
 		return true
@@ -216,8 +205,9 @@ func (m MultiObserver) NeedsJobEpochs() bool {
 	return false
 }
 
-// CoarseEpochsOK implements CoarseEpochObserver: a fan-out tolerates
-// coarse epochs only when every member does.
+// CoarseEpochsOK implements CoarseEpochObserver: a fan-out is epoch-blind
+// only when every member is, so one member that reads epochs gets the
+// exact stream for all of them.
 func (m MultiObserver) CoarseEpochsOK() bool {
 	for _, o := range m {
 		if !ObserverCoarseEpochsOK(o) {

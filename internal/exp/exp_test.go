@@ -2,13 +2,22 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
+
+var updateQuickDigests = flag.Bool("update-quick-digests", false, "rewrite testdata/quick_digests.txt")
+
+// quickDigestFile holds the SHA-256 of every table's quick-suite CSV.
+const quickDigestFile = "testdata/quick_digests.txt"
 
 // quickCfg is the suite configuration the tests run. The CI matrix sets
 // RRNORM_FORBID_SEGMENTS to run the whole suite with RecordSegments forced
@@ -56,11 +65,19 @@ func runExp(t *testing.T, id string) []*Table {
 	return tables
 }
 
+// TestAllExperimentsRunQuick runs the whole suite at quickCfg, checks each
+// table's shape, and is the tripwire for committed numbers: the SHA-256 of
+// every table's CSV must match testdata/quick_digests.txt, so any change to
+// an experiment's output fails here until the digests are regenerated with
+// go test ./internal/exp -run TestAllExperimentsRunQuick -update-quick-digests
+// (ForbidSegments leaves every CSV byte-identical, so both CI legs check the
+// same digests).
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite in -short mode")
 	}
 	dir := t.TempDir()
+	var got []string
 	for _, e := range All() {
 		tables, err := e.Run(quickCfg())
 		if err != nil {
@@ -85,9 +102,37 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if err := tab.WriteCSV(dir); err != nil {
 				t.Fatalf("%s csv: %v", tab.ID, err)
 			}
-			if _, err := os.Stat(filepath.Join(dir, tab.ID+".csv")); err != nil {
+			b, err := os.ReadFile(filepath.Join(dir, tab.ID+".csv"))
+			if err != nil {
 				t.Fatalf("%s csv missing: %v", tab.ID, err)
 			}
+			sum := sha256.Sum256(b)
+			got = append(got, tab.ID+" "+hex.EncodeToString(sum[:]))
+		}
+	}
+	if *updateQuickDigests {
+		body := "# table sha256-of-quick-csv (Seed 42, Quick)\n" + strings.Join(got, "\n") + "\n"
+		if err := os.WriteFile(quickDigestFile, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(quickDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(b), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s holds %d tables, the suite writes %d", quickDigestFile, len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("quick CSV digest differs (regenerate with -update-quick-digests only for a deliberate change of numbers):\n got  %s\n want %s", got[i], want[i])
 		}
 	}
 }

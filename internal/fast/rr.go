@@ -216,12 +216,10 @@ func (r *rrMat) complete() {
 // and idle gaps with an inner drain that pops the whole run of jobs
 // completing before the next arrival in one pass over the heap, stamping
 // completion times analytically (V lands exactly on each popped target).
-// Event counting, context polling, floating-point expressions and exact
-// epoch emission are runRRStream's; TestStreamingWall* in internal/check
-// holds the two sinks byte-identical. When every attached observer
-// tolerates coarse epochs the loop instead emits one aggregate Epoch per
-// maximal busy interval (Coarse == true), dropping the per-event observer
-// dispatch from the drain.
+// Event counting, context polling, floating-point expressions and epoch
+// emission are runRRStream's; TestStreamingWall* in internal/check holds
+// the two sinks byte-identical. When every attached observer is
+// epoch-blind (core.ObserverCoarseEpochsOK) the loop emits no epochs.
 func (r *rrMat) run(opts core.Options) error {
 	jobs := r.jobs
 	n := len(jobs)
@@ -235,13 +233,7 @@ func (r *rrMat) run(opts core.Options) error {
 	hetero, shares := r.hetero, r.shares
 	rt := r.rt
 	res, obs := r.res, r.obs
-	exact := r.obs != nil && !core.ObserverCoarseEpochsOK(r.obs)
-	coarse := r.obs != nil && !exact
-	var batchStart float64
-	var batchAlive int
-	if coarse {
-		batchStart, batchAlive = r.now, h.Len()
-	}
+	epochs := !core.ObserverCoarseEpochsOK(obs)
 	for {
 		hasA := r.i < n
 		var tA float64
@@ -284,7 +276,7 @@ func (r *rrMat) run(opts core.Options) error {
 						return err
 					}
 				}
-				if exact {
+				if epochs {
 					emitEpoch(r.obs, r.ep, r.now, tA, alive, r.rateSum(alive))
 				}
 				r.V += (tA - r.now) * rate
@@ -322,7 +314,7 @@ func (r *rrMat) run(opts core.Options) error {
 					return err
 				}
 			}
-			if exact {
+			if epochs {
 				emitEpoch(r.obs, r.ep, r.now, tC, alive, r.rateSum(alive))
 			}
 			r.V = minKey
@@ -351,16 +343,6 @@ func (r *rrMat) run(opts core.Options) error {
 					obs.ObserveCompletion(tC, id, flow)
 				}
 			}
-			if coarse && tC == batchStart { //rrlint:ignore floateq instant identity: tC and batchStart carry the same propagated bits, not approximations
-				// Zero-length completion at the interval's opening instant:
-				// refresh the snapshot (see the topm drain for the same rule).
-				batchAlive = h.Len()
-			}
-		}
-		// The heap is empty: the busy interval that began at batchStart
-		// ends here.
-		if coarse {
-			emitCoarseEpoch(r.obs, r.ep, batchStart, r.now, batchAlive, r.rateSum(batchAlive))
 		}
 		if !hasA {
 			break
@@ -375,9 +357,6 @@ func (r *rrMat) run(opts core.Options) error {
 		r.now = tA
 		r.admit()
 		r.complete()
-		if coarse {
-			batchStart, batchAlive = r.now, h.Len()
-		}
 	}
 	r.res.Events = events
 	return nil
@@ -436,13 +415,7 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 	} else {
 		ratio = (*[rateTabSize]float64)(s.rateRatios(m))
 	}
-	exact := r.obs != nil && !core.ObserverCoarseEpochsOK(r.obs)
-	coarse := r.obs != nil && !exact
-	var batchStart float64
-	var batchAlive int
-	if coarse {
-		batchStart, batchAlive = r.now, h.Len()
-	}
+	epochs := !core.ObserverCoarseEpochsOK(r.obs)
 	for {
 		hasA := cur.More()
 		if err := cur.Err(); err != nil {
@@ -480,7 +453,7 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 						return err
 					}
 				}
-				if exact {
+				if epochs {
 					r.epoch(tA)
 				}
 				r.V += (tA - r.now) * rate
@@ -502,7 +475,7 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 					return err
 				}
 			}
-			if exact {
+			if epochs {
 				r.epoch(tC)
 			}
 			r.V = minKey
@@ -519,14 +492,6 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 				h.PopMin()
 				r.finish(it.Seq, it.Release, tC)
 			}
-			if coarse && tC == batchStart { //rrlint:ignore floateq instant identity: tC and batchStart carry the same propagated bits, not approximations
-				// Zero-length completion at the interval's opening instant:
-				// refresh the snapshot, as in rrMat.run.
-				batchAlive = h.Len()
-			}
-		}
-		if coarse {
-			emitCoarseEpoch(r.obs, r.ep, batchStart, r.now, batchAlive, r.rateSum(batchAlive))
 		}
 		if !hasA {
 			break
@@ -540,9 +505,6 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 		r.now = tA
 		r.admit()
 		r.complete()
-		if coarse {
-			batchStart, batchAlive = r.now, h.Len()
-		}
 	}
 	r.sum.Events = events
 	return cur.Err()

@@ -118,22 +118,6 @@ func emitEpoch(obs core.Observer, ep *core.Epoch, start, end float64, alive int,
 	obs.ObserveEpoch(ep)
 }
 
-// emitCoarseEpoch delivers one aggregate busy-interval epoch [start, end)
-// to obs with Coarse set: Start/End bound the busy time exactly, while
-// Alive/RateSum are the interval's opening snapshot (see core.Epoch) — the
-// caller supplies the snapshot's rate sum (identicalRateSum or
-// core.MachineEnv.RRSum). The bulk-advance paths emit these — one per
-// maximal busy interval — when every attached observer opts in via
-// core.CoarseEpochObserver. Zero-length and idle intervals are skipped, as
-// in emitEpoch.
-func emitCoarseEpoch(obs core.Observer, ep *core.Epoch, start, end float64, alive int, rs float64) {
-	if obs == nil || end <= start || alive == 0 {
-		return
-	}
-	*ep = core.Epoch{Start: start, End: end, Alive: alive, RateSum: rs, Coarse: true}
-	obs.ObserveEpoch(ep)
-}
-
 // identicalRateSum is RR's pre-augmentation total rate min(alive, m) on
 // identical unit machines — the historical expression, kept verbatim for
 // the default-model paths.

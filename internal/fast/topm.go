@@ -143,9 +143,8 @@ func (r *topmRun) keyFor(j core.Job) float64 {
 // It is a bulk-advance loop: an outer sweep over arrivals with an inner
 // drain popping the whole run of completions that precede the next
 // arrival — the next-arrival time is hoisted per drain (the cursor cannot
-// change while completions pop), and exact epoch emission is skipped
-// entirely when every attached observer tolerates coarse epochs, in favour
-// of one Coarse epoch per maximal busy interval.
+// change while completions pop), and epoch emission is skipped entirely
+// when every attached observer is epoch-blind (core.ObserverCoarseEpochsOK).
 func (r *topmRun) run(opts core.Options) error {
 	cur, s := r.cur, r.s
 	m, sp := opts.Machines, opts.Speed
@@ -157,10 +156,7 @@ func (r *topmRun) run(opts core.Options) error {
 	obs := r.obs
 	now := cur.Head().Release
 	events := 0
-	exact := obs != nil && !core.ObserverCoarseEpochsOK(obs)
-	coarse := obs != nil && !exact
-	batchStart := now
-	batchAlive := 0
+	epochs := !core.ObserverCoarseEpochsOK(obs)
 
 	for {
 		hasA := cur.More()
@@ -188,7 +184,7 @@ func (r *topmRun) run(opts core.Options) error {
 			if tC < now {
 				tC = now // FP guard: time must not run backwards
 			}
-			if exact {
+			if epochs {
 				// Each running job holds one machine (pre-speed rate 1).
 				emitEpoch(obs, &s.epoch, now, tC, byC.Len()+waiting.Len(), float64(byC.Len()))
 			}
@@ -200,18 +196,6 @@ func (r *topmRun) run(opts core.Options) error {
 			if waiting.Len() > 0 {
 				s.start(waiting.Pop(), now, sp)
 			}
-			if coarse && now == batchStart { //rrlint:ignore floateq instant identity: now and batchStart carry the same propagated bits, not approximations
-				// A zero-length completion at the interval's opening instant:
-				// refresh the snapshot so it reflects the alive set once the
-				// opening instant has fully played out.
-				batchAlive = byC.Len() + waiting.Len()
-			}
-		}
-		if byC.Len() == 0 && coarse {
-			// The machines just went idle: the busy interval that opened at
-			// batchStart ends here. (An empty byC implies an empty waiting
-			// set — a waiting job means every machine is busy.)
-			emitCoarseEpoch(obs, &s.epoch, batchStart, now, batchAlive, identicalRateSum(batchAlive, m))
 		}
 		if !hasA {
 			break // byC drained fully against tA = +Inf, waiting is empty too
@@ -223,9 +207,8 @@ func (r *topmRun) run(opts core.Options) error {
 				return err
 			}
 		}
-		aliveBefore := byC.Len() + waiting.Len()
-		if exact {
-			emitEpoch(obs, &s.epoch, now, tA, aliveBefore, float64(byC.Len()))
+		if epochs {
+			emitEpoch(obs, &s.epoch, now, tA, byC.Len()+waiting.Len(), float64(byC.Len()))
 		}
 		now = tA
 		j, seq := cur.Advance()
@@ -235,9 +218,6 @@ func (r *topmRun) run(opts core.Options) error {
 		tolJ := core.CompletionTol(j.Size)
 		if j.Size <= tolJ {
 			recordFinish(r.res, r.sum, obs, seq, j.Release, now) // degenerate job: completes at admission (as core.Run)
-			if coarse && aliveBefore == 0 {
-				batchStart, batchAlive = now, 0
-			}
 			continue
 		}
 		kJ := r.keyFor(j)
@@ -262,17 +242,6 @@ func (r *topmRun) run(opts core.Options) error {
 			s.start(s.allocSlot(j, seq, kJ, tolJ), now, sp)
 		default:
 			s.wait(s.allocSlot(j, seq, kJ, tolJ))
-		}
-		if coarse {
-			if aliveBefore == 0 {
-				// This arrival opened a new busy interval; snapshot its state.
-				batchStart, batchAlive = now, byC.Len()+waiting.Len()
-			} else if now == batchStart { //rrlint:ignore floateq instant identity: now and batchStart carry the same propagated bits, not approximations
-				// A simultaneous arrival at the opening instant joins the
-				// snapshot (the exact stream's first positive-length epoch
-				// already counts it).
-				batchAlive = byC.Len() + waiting.Len()
-			}
 		}
 	}
 	if r.res != nil {

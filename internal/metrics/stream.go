@@ -131,7 +131,7 @@ func (s *StreamNorm) ObserveArrival(t float64, job int, j core.Job) {}
 func (s *StreamNorm) ObserveEpoch(e *core.Epoch) {}
 
 // CoarseEpochsOK implements core.CoarseEpochObserver: the norm reduces
-// completions only, so bulk-advance engine paths may aggregate (or skip)
+// completions only, so it is epoch-blind and the fast engine skips its
 // epoch callbacks without changing a single digit of the result.
 func (s *StreamNorm) CoarseEpochsOK() bool { return true }
 

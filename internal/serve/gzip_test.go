@@ -108,7 +108,7 @@ func TestReplayGzipRoundTrip(t *testing.T) {
 
 // TestReplayGzipMalformed: bodies that declare gzip but do not decompress
 // are 400s — a bad header fails at reader construction, mid-stream
-// corruption surfaces through the decoder as a malformed trace.
+// corruption surfaces through the decoder as a read failure.
 func TestReplayGzipMalformed(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tr := replayTrace(t, 200)
@@ -126,6 +126,9 @@ func TestReplayGzipMalformed(t *testing.T) {
 	resp, body = postReplayEnc(t, ts.URL, query, zb[:len(zb)/2], "", "gzip")
 	if resp.StatusCode != 400 {
 		t.Fatalf("truncated gzip: status %d, body %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "read failed") {
+		t.Errorf("truncated gzip: error %q is not reported as a read failure", body)
 	}
 
 	// Damage that only the trailer, the bytes after it or the header's own

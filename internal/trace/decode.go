@@ -103,6 +103,7 @@ const maxBitsetID = 1 << 24
 // forever.
 type Decoder struct {
 	opts DecodeOptions
+	in   readErr
 	sc   *bufio.Scanner
 	line int // 1-based number of the last line read
 
@@ -126,9 +127,38 @@ type Decoder struct {
 // decoder is a core.JobSource; hand it to core.RunStream / fast.RunStream
 // (or SimulateStream) to replay the trace.
 func NewDecoder(r io.Reader, opts DecodeOptions) *Decoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	return &Decoder{opts: opts, sc: sc}
+	d := &Decoder{opts: opts, in: readErr{r: r}}
+	d.sc = bufio.NewScanner(&d.in)
+	d.sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	d.sc.Split(d.splitLines)
+	return d
+}
+
+// readErr passes reads through and keeps the first error other than
+// io.EOF, so splitLines can tell a line that a read failure cut short from
+// an unterminated last line at a clean EOF.
+type readErr struct {
+	r   io.Reader
+	err error
+}
+
+func (e *readErr) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err != nil && err != io.EOF && e.err == nil {
+		e.err = err
+	}
+	return n, err
+}
+
+// splitLines is bufio.ScanLines, except that once the reader has failed the
+// unterminated rest of the input is not a line: the scan stops there with
+// the read error, which next reports on that line. Lines completed before
+// the failure still decode.
+func (d *Decoder) splitLines(data []byte, atEOF bool) (int, []byte, error) {
+	if atEOF && d.in.err != nil && bytes.IndexByte(data, '\n') < 0 {
+		return 0, nil, d.in.err
+	}
+	return bufio.ScanLines(data, atEOF)
 }
 
 // Next implements core.JobSource.

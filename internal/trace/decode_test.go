@@ -2,10 +2,14 @@ package trace_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
+	"io"
+	"os"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"rrnorm/internal/core"
 	"rrnorm/internal/trace"
@@ -319,6 +323,115 @@ func TestDecodeErrorLatches(t *testing.T) {
 	_, _, err2 := d.Next()
 	if err1 == nil || err2 == nil || err1 != err2 {
 		t.Fatalf("errors not latched: first %v, second %v", err1, err2)
+	}
+}
+
+// TestDecodeReadFailure: a read that fails in the middle of a line is
+// reported as itself — DecodeError{Reason: "read failed: …"} on that line —
+// not parsed as a short line, which could decode as a plausible wrong job;
+// every line completed before the failure still decodes.
+func TestDecodeReadFailure(t *testing.T) {
+	const dir = "../../testdata/replay/"
+	// gzipCut returns the gzip stream zb cut at n bytes, read through
+	// MaybeGunzip, and the bytes compress/gzip delivers from it before its
+	// error.
+	gzipCut := func(t *testing.T, zb []byte, n int) (io.Reader, []byte) {
+		t.Helper()
+		zr, err := gzip.NewReader(bytes.NewReader(zb[:n]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix, err := io.ReadAll(zr)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("compress/gzip on the cut stream: %v, want unexpected EOF", err)
+		}
+		r, err := trace.MaybeGunzip(bytes.NewReader(zb[:n]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, prefix
+	}
+
+	t.Run("truncated ndjson gzip fixture", func(t *testing.T) {
+		zb, err := os.ReadFile(dir + "fixture.ndjson.gz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, prefix := gzipCut(t, zb, 5000)
+		checkReadFailure(t, r, prefix, trace.FormatNDJSON, io.ErrUnexpectedEOF.Error())
+	})
+
+	t.Run("csv gzip cut mid-line", func(t *testing.T) {
+		raw, err := os.ReadFile(dir + "fixture.csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		if _, err := zw.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		zb := buf.Bytes()
+		for n := len(zb) / 2; n < len(zb)-8; n++ {
+			if r, prefix := gzipCut(t, zb, n); len(prefix) > 0 && prefix[len(prefix)-1] != '\n' {
+				checkReadFailure(t, r, prefix, trace.FormatCSV, io.ErrUnexpectedEOF.Error())
+				return
+			}
+		}
+		t.Fatal("no cut of the gzip stream ends its output mid-line")
+	})
+
+	// One Read returns the last bytes together with the error. Cut from
+	// "1,1,17", the CSV line "1,1,1" would decode as a wrong job.
+	boom := errors.New("connection reset")
+	for _, tc := range []struct {
+		name string
+		f    trace.Format
+		data string
+	}{
+		{"ndjson mid-line", trace.FormatNDJSON, `{"id":0,"release":0,"size":1}` + "\n" + `{"id":1,"release":1,"size":17}` + "\n" + `{"id":2,"rel`},
+		{"csv valid-looking prefix", trace.FormatCSV, "id,release,size\n0,0,1\n1,1,1"},
+		{"at a line boundary", trace.FormatNDJSON, `{"id":0,"release":0,"size":1}` + "\n"},
+	} {
+		t.Run("data and error in one read: "+tc.name, func(t *testing.T) {
+			r := iotest.DataErrReader(io.MultiReader(strings.NewReader(tc.data), iotest.ErrReader(boom)))
+			checkReadFailure(t, r, []byte(tc.data), tc.f, boom.Error())
+		})
+	}
+
+	t.Run("unterminated last line at a clean EOF", func(t *testing.T) {
+		jobs, err := drain(t, trace.NewDecoder(strings.NewReader("id,release,size\n0,0,1\n1,1,17"), trace.DecodeOptions{Format: trace.FormatCSV}))
+		if err != nil || len(jobs) != 2 || jobs[1].Size != 17 {
+			t.Fatalf("got %+v, %v; want 2 jobs, the last of size 17", jobs, err)
+		}
+	})
+}
+
+// checkReadFailure decodes r, which delivers prefix and then fails with a
+// read error whose text is reason. The decoder must yield exactly the jobs
+// of prefix's complete lines, then a DecodeError on the line after them.
+func checkReadFailure(t *testing.T, r io.Reader, prefix []byte, f trace.Format, reason string) {
+	t.Helper()
+	opts := trace.DecodeOptions{Format: f}
+	whole := prefix[:bytes.LastIndexByte(prefix, '\n')+1]
+	want, err := drain(t, trace.NewDecoder(bytes.NewReader(whole), opts))
+	if err != nil {
+		t.Fatalf("decoding the complete lines: %v", err)
+	}
+	got, err := drain(t, trace.NewDecoder(r, opts))
+	var derr *trace.DecodeError
+	if !errors.As(err, &derr) {
+		t.Fatalf("error %v, want a *DecodeError", err)
+	}
+	line := bytes.Count(prefix, []byte("\n")) + 1
+	if derr.Line != line || derr.Field != "" || derr.Reason != "read failed: "+reason {
+		t.Errorf("error %q, want line %d: read failed: %s", derr, line, reason)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("decoded %d jobs before the failure, want the %d complete lines' jobs", len(got), len(want))
 	}
 }
 
