@@ -54,11 +54,9 @@ serve-bench:
 # fuzzing of the rrserve request surface (decoder + spec parser), fuzzing
 # of the hunt shrinker's contract (validity + ratio window), of the trace
 # decoder (totality + round trip, the in-place NDJSON scanner against
-# encoding/json, and the number scanner against strconv), of the gzip
+# encoding/json, and the number scanner against strconv), and of the gzip
 # reader (FuzzGunzip: delivered bytes, verdict and error class against
-# compress/gzip), and fuzzing of the lint IR builder (CFG/def-use
-# construction must be total over arbitrary syntax). FUZZTIME=5m make fuzz
-# for longer campaigns.
+# compress/gzip). FUZZTIME=5m make fuzz for longer campaigns.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzEngineAgreement -fuzztime=$(FUZZTIME) ./internal/check
@@ -68,7 +66,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzNDJSONLine -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzScanNumber -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzGunzip -fuzztime=$(FUZZTIME) ./internal/trace
-	$(GO) test -fuzz=FuzzLintIR -fuzztime=$(FUZZTIME) ./internal/lint
 
 # Adversarial ratio hunt (see DESIGN.md §14). `make hunt` runs the default
 # championship cell; results are written to testdata/corpus only when you

@@ -14,9 +14,8 @@
 // load or type-check, or on usage errors.
 //
 // Suppressions: //rrlint:ignore <check> <reason> on the offending line or
-// the line above, or in a function's doc comment to cover the whole body.
-// The check name must match and the reason is mandatory; malformed
-// directives are themselves diagnostics.
+// the line above. The check name must match and the reason is mandatory;
+// malformed directives are themselves diagnostics.
 //
 // When GITHUB_ACTIONS=true (and -json is not set, so redirected JSON stays
 // parseable), each diagnostic is additionally emitted as a

@@ -131,7 +131,6 @@ func RunSharded(ctx context.Context, in *core.Instance, policyName string, opts 
 	}
 	n := len(res.Jobs)
 	if n == 0 {
-		//rrlint:ignore wsescape res is owned by ws (caller-supplied or fresh); only the per-worker shard workspaces are pooled
 		return res, nil
 	}
 
@@ -214,7 +213,6 @@ func RunSharded(ctx context.Context, in *core.Instance, policyName string, opts 
 	for s := 0; s < m; s++ {
 		res.Events += sc.events[s]
 	}
-	//rrlint:ignore wsescape res is owned by ws (caller-supplied or fresh); only the per-worker shard workspaces are pooled
 	return res, nil
 }
 

@@ -52,9 +52,7 @@ type Analyzer struct {
 	Run   func(*Pass)
 }
 
-// Analyzers returns the full analyzer suite in its canonical order. The
-// first seven are the syntactic suite; wsescape and gocapture are the
-// dataflow analyzers built on the CFG IR (DESIGN.md §16).
+// Analyzers returns the full analyzer suite in its canonical order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		mapiterAnalyzer,
@@ -65,7 +63,6 @@ func Analyzers() []*Analyzer {
 		poolputAnalyzer,
 		obsretainAnalyzer,
 		wsescapeAnalyzer,
-		gocaptureAnalyzer,
 	}
 }
 
@@ -93,20 +90,14 @@ func scopePkgs(rels ...string) func(modPath, pkgPath string) bool {
 	}
 }
 
-// Pass is one (analyzer, package) execution. Index is shared by every
-// pass of the run; it carries the lazily-built dataflow IRs the
-// flow-sensitive analyzers consume.
+// Pass is one (analyzer, package) execution.
 type Pass struct {
 	Module *Module
 	Pkg    *Package
-	Index  *Index
 
 	check string
 	out   *[]Diagnostic
 }
-
-// IR returns the memoized dataflow IR for a function declaration.
-func (p *Pass) IR(fd *ast.FuncDecl) *FuncIR { return p.Index.IR(fd) }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -178,14 +169,13 @@ func RunPackages(m *Module, pkgs []*Package, cfg RunConfig) *Result {
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	idx := newIndex(pkgs)
 	var raw []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if !cfg.IgnoreScope && !a.Scope(m.Path, pkg.Path) {
 				continue
 			}
-			pass := &Pass{Module: m, Pkg: pkg, Index: idx, check: a.Name, out: &raw}
+			pass := &Pass{Module: m, Pkg: pkg, check: a.Name, out: &raw}
 			a.Run(pass)
 		}
 	}

@@ -83,13 +83,14 @@ func engineOwnedParams(p *Pass, fd *ast.FuncDecl) map[string]bool {
 }
 
 func checkObserveBody(p *Pass, fd *ast.FuncDecl, roots map[string]bool) {
+	owned := func(id *ast.Ident) bool { return roots[id.Name] }
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != len(as.Rhs) {
 			return true
 		}
 		for i, rhs := range as.Rhs {
-			if !retainsEngineSlice(p, roots, rhs) {
+			if !retainsEngineSlice(p, owned, rhs) {
 				continue
 			}
 			if isFuncLocal(p, fd, as.Lhs[i]) {
@@ -103,15 +104,16 @@ func checkObserveBody(p *Pass, fd *ast.FuncDecl, roots map[string]bool) {
 }
 
 // retainsEngineSlice reports whether evaluating e yields a value that
-// aliases memory reachable from an engine-owned parameter.
-func retainsEngineSlice(p *Pass, roots map[string]bool, e ast.Expr) bool {
+// aliases memory reachable from an owned identifier: an engine-owned
+// callback parameter here, a tainted local in wsescape.
+func retainsEngineSlice(p *Pass, owned func(*ast.Ident) bool, e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
-		return retainsEngineSlice(p, roots, e.X)
+		return retainsEngineSlice(p, owned, e.X)
 	case *ast.UnaryExpr:
 		// &e, &e.Jobs — taking an address retains whatever the operand
 		// aliases.
-		return retainsEngineSlice(p, roots, e.X)
+		return retainsEngineSlice(p, owned, e.X)
 	case *ast.CompositeLit:
 		// A literal embedding a retaining expression (Rec{jobs: e.Jobs})
 		// carries the alias with it.
@@ -119,7 +121,7 @@ func retainsEngineSlice(p *Pass, roots map[string]bool, e ast.Expr) bool {
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
 				elt = kv.Value
 			}
-			if retainsEngineSlice(p, roots, elt) {
+			if retainsEngineSlice(p, owned, elt) {
 				return true
 			}
 		}
@@ -134,14 +136,14 @@ func retainsEngineSlice(p *Pass, roots map[string]bool, e ast.Expr) bool {
 				return false
 			}
 			for _, a := range e.Args[1:] {
-				if retainsEngineSlice(p, roots, a) {
+				if retainsEngineSlice(p, owned, a) {
 					return true
 				}
 			}
 		}
 		return false
 	default:
-		if !rootedInParam(roots, e) {
+		if !rootedIn(owned, e) {
 			return false
 		}
 		t := p.TypeOf(e)
@@ -159,13 +161,13 @@ func isBuiltinObj(obj types.Object) bool {
 	return ok
 }
 
-// rootedInParam walks selector/index/slice/deref chains down to their base
-// identifier and reports whether it is an engine-owned parameter.
-func rootedInParam(roots map[string]bool, e ast.Expr) bool {
+// rootedIn walks selector/index/slice/deref chains down to their base
+// identifier and reports whether it is owned.
+func rootedIn(owned func(*ast.Ident) bool, e ast.Expr) bool {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
-			return roots[x.Name]
+			return owned(x)
 		case *ast.SelectorExpr:
 			e = x.X
 		case *ast.IndexExpr:

@@ -2,24 +2,18 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"path/filepath"
 	"strings"
 )
 
-// A suppression is one valid //rrlint:ignore comment. At statement level
-// it silences diagnostics of the named check on its own line and on the
-// line directly below (so it works both as an end-of-line comment and as
-// a standalone comment above the offending statement). When the directive
-// sits in a function's doc comment it is function-level: endLine extends
-// the range over the whole declaration, silencing the check everywhere in
-// the body — for functions whose entire job violates an invariant on
-// purpose, where per-line directives would drown the code.
+// A suppression is one valid //rrlint:ignore comment. It silences
+// diagnostics of the named check on its own line and on the line directly
+// below (so it works both as an end-of-line comment and as a standalone
+// comment above the offending statement).
 type suppression struct {
-	file    string // module-root-relative path
-	line    int
-	endLine int // last covered line; 0 means statement level (line+1)
-	check   string
+	file  string // module-root-relative path
+	line  int
+	check string
 }
 
 // collectSuppressions scans every comment of every file for
@@ -33,14 +27,6 @@ func collectSuppressions(m *Module, pkgs []*Package, known map[string]bool) ([]s
 	var bad []Diagnostic
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			// Doc-comment groups of function declarations carry
-			// function-level suppressions: map each one to its body range.
-			funcDoc := make(map[*ast.CommentGroup]*ast.FuncDecl)
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-					funcDoc[fd.Doc] = fd
-				}
-			}
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text := strings.TrimPrefix(c.Text, "//")
@@ -80,11 +66,7 @@ func collectSuppressions(m *Module, pkgs []*Package, known map[string]bool) ([]s
 						malformed("malformed //rrlint:ignore %s: a reason is required", check)
 						continue
 					}
-					s := suppression{file: file, line: pos.Line, check: check}
-					if fd, ok := funcDoc[cg]; ok {
-						s.endLine = m.Fset.Position(fd.End()).Line
-					}
-					sups = append(sups, s)
+					sups = append(sups, suppression{file: file, line: pos.Line, check: check})
 				}
 			}
 		}
@@ -93,20 +75,10 @@ func collectSuppressions(m *Module, pkgs []*Package, known map[string]bool) ([]s
 }
 
 // suppressed reports whether a valid suppression covers the diagnostic:
-// same line or the line below at statement level, anywhere in [line,
-// endLine] at function level.
+// same file and check, on the directive's line or the line below.
 func suppressed(sups []suppression, d Diagnostic) bool {
 	for _, s := range sups {
-		if s.file != d.File || s.check != d.Check {
-			continue
-		}
-		if s.endLine > 0 {
-			if d.Line >= s.line && d.Line <= s.endLine {
-				return true
-			}
-			continue
-		}
-		if d.Line == s.line || d.Line == s.line+1 {
+		if s.file == d.File && s.check == d.Check && (d.Line == s.line || d.Line == s.line+1) {
 			return true
 		}
 	}

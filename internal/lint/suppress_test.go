@@ -48,17 +48,14 @@ func TestSuppressionSemantics(t *testing.T) {
 		}
 	}
 
-	// suppressedEOL and suppressedAbove silence one finding each; the
-	// function-level directive on funcLevel silences both findings in its
-	// body at once.
-	if res.Suppressed != 4 {
-		t.Errorf("Suppressed = %d, want 4 (suppressedEOL + suppressedAbove + 2 in funcLevel)", res.Suppressed)
+	// suppressedEOL and suppressedAbove silence one finding each.
+	if res.Suppressed != 2 {
+		t.Errorf("Suppressed = %d, want 2 (suppressedEOL + suppressedAbove)", res.Suppressed)
 	}
 
-	// wrongCheck, missingReason, unknownCheck and funcLevelWrongCheck
-	// findings all survive.
-	if len(floateqDiags) != 4 {
-		t.Errorf("got %d surviving floateq diagnostics, want 4: %s", len(floateqDiags), diagList(floateqDiags))
+	// wrongCheck, missingReason and unknownCheck findings all survive.
+	if len(floateqDiags) != 3 {
+		t.Errorf("got %d surviving floateq diagnostics, want 3: %s", len(floateqDiags), diagList(floateqDiags))
 	}
 
 	// The two malformed directives are flagged at the directive itself.
@@ -115,8 +112,8 @@ func TestResultJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if decoded.Suppressed != 4 {
-		t.Errorf("json suppressed = %d, want 4", decoded.Suppressed)
+	if decoded.Suppressed != 2 {
+		t.Errorf("json suppressed = %d, want 2", decoded.Suppressed)
 	}
 	if len(decoded.Diagnostics) != len(res.Diagnostics) {
 		t.Errorf("json carries %d diagnostics, result has %d", len(decoded.Diagnostics), len(res.Diagnostics))
@@ -132,51 +129,5 @@ func TestResultJSON(t *testing.T) {
 	}
 	if !strings.Contains(string(rawEmpty), `"diagnostics":[]`) {
 		t.Errorf("empty diagnostics should marshal as [], got %s", rawEmpty)
-	}
-}
-
-// TestDataflowSuppression pins //rrlint:ignore semantics for the
-// dataflow analyzers (wsescape, gocapture) over the suppressdf
-// fixture: statement-level directives silence exactly their own line pair,
-// doc-comment directives silence the whole function, and each analyzer's
-// unsuppressed sibling finding survives — so the directives are neither
-// ignored nor over-broad for the IR-based checks.
-func TestDataflowSuppression(t *testing.T) {
-	m := loadTestModule(t)
-	dir := filepath.Join(m.Dir, "internal", "lint", "testdata", "src", "suppressdf")
-	pkg, err := m.PackageDir(dir)
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	var dataflow []*Analyzer
-	for _, a := range Analyzers() {
-		switch a.Name {
-		case "wsescape", "gocapture":
-			dataflow = append(dataflow, a)
-		}
-	}
-	res := RunPackages(m, []*Package{pkg}, RunConfig{
-		Analyzers:   dataflow,
-		IgnoreScope: true,
-	})
-
-	// 3 wsescape (1 statement + 2 function-level) + 2 gocapture (statement
-	// in the closure + function-level on launchFuncLevel).
-	if res.Suppressed != 5 {
-		t.Errorf("Suppressed = %d, want 5", res.Suppressed)
-	}
-
-	// One unsuppressed sibling per analyzer must survive.
-	survivors := map[string]int{}
-	for _, d := range res.Diagnostics {
-		survivors[d.Check]++
-	}
-	for _, check := range []string{"wsescape", "gocapture"} {
-		if survivors[check] != 1 {
-			t.Errorf("%s: %d surviving diagnostics, want 1: %s", check, survivors[check], diagList(res.Diagnostics))
-		}
-	}
-	if len(res.Diagnostics) != 2 {
-		t.Errorf("got %d surviving diagnostics, want 2: %s", len(res.Diagnostics), diagList(res.Diagnostics))
 	}
 }

@@ -33,24 +33,3 @@ func unknownCheck(x, y float64) bool {
 	//rrlint:ignore floateqq typo in the check name
 	return x == y
 }
-
-// funcLevel is wholesale exempt: a directive in the doc comment covers
-// every finding in the body, however many lines it spans.
-//
-//rrlint:ignore floateq the whole comparator works on exact golden values
-func funcLevel(xs, ys []float64) bool {
-	for i := range xs {
-		if xs[i] == ys[i] {
-			return true
-		}
-	}
-	return len(xs) > 0 && xs[0] == ys[0]
-}
-
-// funcLevelWrongCheck: a function-level directive for a different check
-// leaves the floateq finding standing.
-//
-//rrlint:ignore mapiter wrong check at function level must not help
-func funcLevelWrongCheck(x, y float64) bool {
-	return x == y
-}

@@ -152,3 +152,30 @@ func startRunSeed(c *cache, in *core.Instance) {
 	}
 	core.PutWorkspace(ws)
 }
+
+// shardShape is batch.RunSharded's shape: the result of ws.StartRun is
+// returned while only a different, per-worker workspace goes back to the
+// pool, in a deferred closure. The release that matters is ws's, and it
+// never happens here: allowed.
+func shardShape(in *core.Instance, ws *core.Workspace) (*core.Result, error) {
+	res, err := ws.StartRun(in, "SRPT+shard", core.Options{})
+	if err != nil {
+		return nil, err
+	}
+	wss := make([]*core.Workspace, 2)
+	defer func() {
+		for _, w := range wss {
+			if w != nil {
+				core.PutWorkspace(w)
+			}
+		}
+	}()
+	wsw := core.GetWorkspace()
+	wss[0] = wsw
+	sRes, err := fast.RunWS(in, policy.NewRR(), core.Options{}, wsw)
+	if err != nil {
+		return nil, err
+	}
+	res.Events = sRes.Events
+	return res, nil
+}

@@ -145,6 +145,43 @@ func TestSimulateHappyPathMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestBuildResponseOwnsDetail pins buildResponse's copies of the slices it
+// echoes. The response is marshaled after the workspace goes back to its
+// pool, and the workspace's next run overwrites Flow, Completion and
+// MachineModel.Speeds in place. No static check sees an alias here
+// (buildResponse only sees a parameter), and the HTTP tests' repeated
+// detail requests are cache hits, so this is the only test that does.
+func TestBuildResponseOwnsDetail(t *testing.T) {
+	res := &core.Result{
+		Policy:       "RR",
+		Machines:     2,
+		Speed:        1,
+		MachineModel: core.Machines{Speeds: []float64{2, 1}},
+		Jobs:         make([]core.Job, 3),
+		Completion:   []float64{1.5, 2.5, 4},
+		Flow:         []float64{1.5, 2, 3},
+		Events:       6,
+	}
+	resp := buildResponse(res, []int{1, 2}, true, core.EngineAuto)
+	want, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Flow {
+		res.Flow[i], res.Completion[i] = -1, -1
+	}
+	for i := range res.MachineModel.Speeds {
+		res.MachineModel.Speeds[i] = 9
+	}
+	got, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("response changed when the workspace's buffers were reused:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestGoldenResponses(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
