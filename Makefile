@@ -54,9 +54,11 @@ serve-bench:
 # fuzzing of the rrserve request surface (decoder + spec parser), fuzzing
 # of the hunt shrinker's contract (validity + ratio window), of the trace
 # decoder (totality + round trip, the in-place NDJSON scanner against
-# encoding/json, and the number scanner against strconv), and of the gzip
+# encoding/json, and the number scanner against strconv), of the gzip
 # reader (FuzzGunzip: delivered bytes, verdict and error class against
-# compress/gzip). FUZZTIME=5m make fuzz for longer campaigns.
+# compress/gzip), and of the percentile selection behind metrics.Summarize
+# and metrics.Percentile (FuzzPercentiles: bits against a sorted copy).
+# FUZZTIME=5m make fuzz for longer campaigns.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzEngineAgreement -fuzztime=$(FUZZTIME) ./internal/check
@@ -66,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzNDJSONLine -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzScanNumber -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzGunzip -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz=FuzzPercentiles -fuzztime=$(FUZZTIME) ./internal/metrics
 
 # Adversarial ratio hunt (see DESIGN.md §14). `make hunt` runs the default
 # championship cell; results are written to testdata/corpus only when you

@@ -66,24 +66,26 @@ func runObsretain(p *Pass) {
 
 // engineOwnedParams collects the callback parameters that can alias
 // engine memory: anything whose type reaches a slice or map (the *Epoch,
-// the *Result; plain scalars like t, job and flow never qualify).
-func engineOwnedParams(p *Pass, fd *ast.FuncDecl) map[string]bool {
-	roots := make(map[string]bool)
+// the *Result; plain scalars like t, job and flow never qualify). They are
+// keyed by object, so a local that shadows one is not engine-owned.
+func engineOwnedParams(p *Pass, fd *ast.FuncDecl) map[types.Object]bool {
+	roots := make(map[types.Object]bool)
 	for _, field := range fd.Type.Params.List {
 		for _, name := range field.Names {
 			if name.Name == "_" {
 				continue
 			}
-			if t := p.TypeOf(field.Type); t != nil && holdsSlices(t, make(map[types.Type]bool)) {
-				roots[name.Name] = true
+			obj := p.ObjectOf(name)
+			if t := p.TypeOf(field.Type); obj != nil && t != nil && holdsSlices(t, make(map[types.Type]bool)) {
+				roots[obj] = true
 			}
 		}
 	}
 	return roots
 }
 
-func checkObserveBody(p *Pass, fd *ast.FuncDecl, roots map[string]bool) {
-	owned := func(id *ast.Ident) bool { return roots[id.Name] }
+func checkObserveBody(p *Pass, fd *ast.FuncDecl, roots map[types.Object]bool) {
+	owned := func(id *ast.Ident) bool { return roots[p.ObjectOf(id)] }
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != len(as.Rhs) {

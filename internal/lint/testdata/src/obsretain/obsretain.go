@@ -109,3 +109,19 @@ func (h *hoarder) ObserveDone(res *Result) {
 	h.flows = res.Flow // want "stores engine-owned res.Flow into h.flows"
 	h.last.Start = res.Flow[0]
 }
+
+// shadower reads its own result through a local that shadows the callback
+// parameter's name. Allowed: the local holds none of the engine's memory.
+type shadower struct {
+	local *Result
+	keep  []float64
+}
+
+// ObserveDone stores a slice of the shadowing local, not of res.
+func (o *shadower) ObserveDone(res *Result) {
+	{
+		res := o.local
+		o.keep = res.Flow
+	}
+	o.keep = append(o.keep[:0], res.Flow...)
+}

@@ -6,7 +6,8 @@ package metrics
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // PowK returns x^k for integer k ≥ 0 using repeated multiplication, which is
@@ -139,36 +140,154 @@ func Min(xs []float64) float64 {
 // Percentile returns the p-th percentile (p ∈ [0,100]) using linear
 // interpolation between order statistics. Input is not modified.
 func Percentile(xs []float64, p float64) float64 {
-	return sortedPercentile(sortedCopy(xs), p)
+	ps := []float64{p}
+	selectPercentiles(append([]float64(nil), xs...), ps)
+	return ps[0]
 }
 
-// sortedCopy returns an ascending copy of xs, leaving xs as it was.
-func sortedCopy(xs []float64) []float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s
-}
-
-// sortedPercentile is Percentile over s, which must already be ascending.
-func sortedPercentile(s []float64, p float64) float64 {
+// selectPercentiles replaces each ps[i], which must ascend, with the
+// ps[i]-th percentile of s: linear interpolation between the order
+// statistics at rank p/100·(n−1), read as from a copy of s that
+// sort.Float64s sorted. It finds those order statistics by selection and
+// reorders s to do so.
+func selectPercentiles(s, ps []float64) {
 	n := len(s)
 	if n == 0 {
-		return 0
+		clear(ps)
+		return
 	}
-	if p <= 0 {
-		return s[0]
+	// NaNs go first, where sort.Float64s puts them. From here on s[:done]
+	// holds the done lowest ranks, s[done-1] holds rank done−1 itself, and
+	// s[done:] holds no NaN.
+	done := 0
+	for i, x := range s {
+		if math.IsNaN(x) {
+			s[i], s[done] = s[done], x
+			done++
+		}
 	}
-	if p >= 100 {
-		return s[n-1]
+	for i, p := range ps {
+		lo, hi, frac := 0, 0, 0.0
+		switch {
+		case p <= 0:
+		case p >= 100:
+			lo, hi = n-1, n-1
+		default:
+			pos := p / 100 * float64(n-1)
+			lo, hi = int(math.Floor(pos)), int(math.Ceil(pos))
+			frac = pos - float64(lo)
+		}
+		if lo >= done {
+			selectRank(s[done:], lo-done)
+			done = lo + 1
+		}
+		if lo == hi {
+			ps[i] = s[lo]
+			continue
+		}
+		// Rank lo+1 is the least of the ranks above lo. The plain loop
+		// beats slices.Min, whose NaN checks cost Summarize 6–30% on
+		// 20,000 flows.
+		up := s[lo+1]
+		for _, x := range s[lo+2:] {
+			if x < up {
+				up = x
+			}
+		}
+		ps[i] = s[lo]*(1-frac) + up*frac
 	}
-	pos := p / 100 * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
+}
+
+// insertionMax is the range length at or below which selectRank stops
+// partitioning and sorts by insertion.
+const insertionMax = 16
+
+// selectRank moves the element of rank k (0-based, ascending) to s[k], with
+// no larger element before it and no smaller one after it. s must hold no
+// NaN. Each round of narrow shrinks the range that holds rank k; a range
+// of at most insertionMax elements is sorted by insertion, and one still
+// open after 2·⌈log₂ n⌉ rounds goes to slices.Sort, so no input costs more
+// than O(n log n).
+func selectRank(s []float64, k int) {
+	l, r := 0, len(s)
+	for rounds := 2 * bits.Len(uint(len(s)-1)); r-l > insertionMax; rounds-- {
+		if rounds == 0 {
+			slices.Sort(s[l:r])
+			return
+		}
+		l, r = narrow(s, l, r, k)
 	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	for i := l + 1; i < r; i++ {
+		for j := i; j > l && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
+// narrow is one round of selectRank over s[l:r], which holds rank k. It
+// partitions the range around the median of its first, middle and last
+// elements and returns the part that holds rank k, or the empty range at k
+// once s[k] holds it. Only when no element is below the pivot does it make
+// a second pass that moves the pivot's ties forward, so a run of equal
+// values costs one pass, not one round per value.
+func narrow(s []float64, l, r, k int) (int, int) {
+	pivot := medianOfThree(s[l], s[l+(r-l)/2], s[r-1])
+	lt := l + moveBelow(s[l:r], pivot)
+	switch {
+	case k < lt:
+		return l, lt
+	case lt > l:
+		return lt, r
+	}
+	le := l + moveAtMost(s[l:r], pivot)
+	if k < le {
+		return k, k
+	}
+	return le, r
+}
+
+// medianOfThree returns the median of a, b and c.
+func medianOfThree(a, b, c float64) float64 {
+	if b < a {
+		a, b = b, a
+	}
+	if c < b {
+		b = max(a, c)
+	}
+	return b
+}
+
+// moveBelow moves the elements of s below pivot to its front and returns
+// their count (Lomuto's scheme). Every element is swapped and the count
+// grows by a compare result, not a branch, which random data would
+// mispredict half the time.
+func moveBelow(s []float64, pivot float64) int {
+	n := 0
+	for i, x := range s {
+		s[i] = s[n]
+		s[n] = x
+		inc := 0
+		if x < pivot {
+			inc = 1
+		}
+		n += inc
+	}
+	return n
+}
+
+// moveAtMost is moveBelow for the elements at most pivot.
+func moveAtMost(s []float64, pivot float64) int {
+	n := 0
+	for i, x := range s {
+		s[i] = s[n]
+		s[n] = x
+		inc := 0
+		if x <= pivot {
+			inc = 1
+		}
+		n += inc
+	}
+	return n
 }
 
 // JainIndex returns Jain's fairness index (Σx)² / (n·Σx²) ∈ (0, 1]; 1 means
@@ -214,21 +333,50 @@ type Summary struct {
 	Jain     float64
 }
 
-// Summarize computes a Summary for the given flow times. It sorts one copy
-// of flows for all three percentiles; flows itself is not modified.
+// Summarize computes a Summary for the given flow times in two passes over
+// flows and one selection over a copy; flows itself is not modified. Every
+// field is bit-identical to the function it stands for (LkNorm, Mean, Max,
+// Stddev, Percentile, JainIndex): each accumulator keeps that function's
+// expression and index order.
 func Summarize(flows []float64) Summary {
-	sorted := sortedCopy(flows)
-	return Summary{
-		N:        len(flows),
-		L1:       LkNorm(flows, 1),
-		MeanFlow: Mean(flows),
-		L2:       LkNorm(flows, 2),
-		L3:       LkNorm(flows, 3),
-		MaxFlow:  Max(flows),
-		Stddev:   Stddev(flows),
-		P50:      sortedPercentile(sorted, 50),
-		P95:      sortedPercentile(sorted, 95),
-		P99:      sortedPercentile(sorted, 99),
-		Jain:     JainIndex(flows),
+	n := len(flows)
+	out := Summary{N: n, Jain: 1}
+	if n == 0 {
+		return out
 	}
+	// Pass 1: the max that normalizes LkNorm, Σx for LkNorm(·, 1), Mean
+	// and JainIndex, and JainIndex's Σx².
+	var mx, sum, sq float64
+	for i, x := range flows {
+		if i == 0 || x > mx {
+			mx = x
+		}
+		sum += x
+		sq += x * x
+	}
+	mean := sum / float64(n)
+	// Pass 2: LkNorm's Σ(x/max)² and Σ(x/max)³, and Variance's Σ(x−mean)².
+	var s2, s3, dev float64
+	for _, x := range flows {
+		r := x / mx
+		s2 += r * r
+		s3 += r * r * r
+		d := x - mean
+		dev += d * d
+	}
+	out.L1, out.MeanFlow, out.MaxFlow = sum, mean, mx
+	if mx != 0 {
+		out.L2 = mx * math.Pow(s2, 1.0/2)
+		out.L3 = mx * math.Pow(s3, 1.0/3)
+	}
+	if n >= 2 {
+		out.Stddev = math.Sqrt(dev / float64(n))
+	}
+	if sq != 0 {
+		out.Jain = sum * sum / (float64(n) * sq)
+	}
+	ps := []float64{50, 95, 99}
+	selectPercentiles(append([]float64(nil), flows...), ps)
+	out.P50, out.P95, out.P99 = ps[0], ps[1], ps[2]
+	return out
 }

@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -142,8 +145,8 @@ func TestSummarize(t *testing.T) {
 	approx(t, s.MaxFlow, 4, 1e-12, "max")
 	approx(t, s.MeanFlow, 3.5, 1e-12, "mean")
 
-	// The percentiles come from one sorted copy: bit-equal to Percentile's,
-	// with the input left in its original, unsorted order.
+	// The percentiles come from one selection over one copy: bit-equal to
+	// Percentile's, with the input left in its original, unsorted order.
 	rng := rand.New(rand.NewPCG(3, 4))
 	xs := make([]float64, 10_000)
 	for i := range xs {
@@ -181,4 +184,300 @@ func TestLkNormLargeKStable(t *testing.T) {
 	if got < 3e8 || got > 3.2e8 {
 		t.Fatalf("L20 = %v, want slightly above max 3e8", got)
 	}
+}
+
+// sortedCopy returns an ascending copy of xs, leaving xs as it was. With
+// sortedPercentile it is the oracle for the selection behind Percentile
+// and Summarize.
+func sortedCopy(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
+}
+
+// sortedPercentile is Percentile over s, which must already be ascending.
+func sortedPercentile(s []float64, p float64) float64 {
+	n := len(s)
+	if n == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[n-1]
+	}
+	pos := p / 100 * float64(n-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// oracleSummary is Summarize composed from the functions its fields stand
+// for, with the percentiles read from sorted, an ascending copy of flows.
+func oracleSummary(flows, sorted []float64) Summary {
+	return Summary{
+		N:        len(flows),
+		L1:       LkNorm(flows, 1),
+		MeanFlow: Mean(flows),
+		L2:       LkNorm(flows, 2),
+		L3:       LkNorm(flows, 3),
+		MaxFlow:  Max(flows),
+		Stddev:   Stddev(flows),
+		P50:      sortedPercentile(sorted, 50),
+		P95:      sortedPercentile(sorted, 95),
+		P99:      sortedPercentile(sorted, 99),
+		Jain:     JainIndex(flows),
+	}
+}
+
+// sameBits reports whether got matches the oracle's want bit for bit. NaNs
+// match as NaN, since the payload at a rank is the sort's arbitrary pick.
+// With zeroTie, ±0 match as numbers: when the input holds both zeros, which
+// one lands at a rank that is read is an arbitrary pick too.
+func sameBits(got, want float64, zeroTie bool) bool {
+	return math.Float64bits(got) == math.Float64bits(want) ||
+		math.IsNaN(got) && math.IsNaN(want) ||
+		zeroTie && got == 0 && want == 0
+}
+
+// holdsBothZeros reports whether xs holds a −0 and a +0.
+func holdsBothZeros(xs []float64) bool {
+	var neg, pos bool
+	for _, x := range xs {
+		if x == 0 {
+			neg = neg || math.Signbit(x)
+			pos = pos || !math.Signbit(x)
+		}
+	}
+	return neg && pos
+}
+
+// selectionPercentiles ascend, reach past both ends of [0, 100] and hit
+// whole and fractional ranks.
+var selectionPercentiles = []float64{-1, 0, 0.1, 1, 10, 25, 50, 50, 75, 90, 95, 99, 99.9, 100, 101}
+
+// checkSelection requires Summarize, Percentile at each of ps, and one
+// selectPercentiles call over every selectionPercentiles to match the
+// sorted-copy oracle on xs, and xs to come back unchanged.
+func checkSelection(t *testing.T, name string, xs, ps []float64) {
+	t.Helper()
+	orig := slices.Clone(xs)
+	zeroTie := holdsBothZeros(xs)
+	sorted := sortedCopy(xs)
+	got, want := Summarize(xs), oracleSummary(xs, sorted)
+	if got.N != want.N {
+		t.Errorf("%s: Summarize N = %d, want %d", name, got.N, want.N)
+	}
+	for _, f := range []struct {
+		field     string
+		got, want float64
+		zeroTie   bool
+	}{
+		{"L1", got.L1, want.L1, false},
+		{"MeanFlow", got.MeanFlow, want.MeanFlow, false},
+		{"L2", got.L2, want.L2, false},
+		{"L3", got.L3, want.L3, false},
+		{"MaxFlow", got.MaxFlow, want.MaxFlow, false},
+		{"Stddev", got.Stddev, want.Stddev, false},
+		{"P50", got.P50, want.P50, zeroTie},
+		{"P95", got.P95, want.P95, zeroTie},
+		{"P99", got.P99, want.P99, zeroTie},
+		{"Jain", got.Jain, want.Jain, false},
+	} {
+		if !sameBits(f.got, f.want, f.zeroTie) {
+			t.Errorf("%s (n=%d): Summarize %s = %v (%#x), oracle %v (%#x)", name, len(xs), f.field,
+				f.got, math.Float64bits(f.got), f.want, math.Float64bits(f.want))
+		}
+	}
+	for _, p := range ps {
+		if g, w := Percentile(xs, p), sortedPercentile(sorted, p); !sameBits(g, w, zeroTie) {
+			t.Errorf("%s (n=%d): Percentile(%v) = %v (%#x), oracle %v (%#x)", name, len(xs), p,
+				g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+	all := slices.Clone(selectionPercentiles)
+	selectPercentiles(slices.Clone(xs), all)
+	for i, p := range selectionPercentiles {
+		if w := sortedPercentile(sorted, p); !sameBits(all[i], w, zeroTie) {
+			t.Errorf("%s (n=%d): one selection for all ps: p%v = %v, oracle %v", name, len(xs), p, all[i], w)
+		}
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("%s: input changed at %d: %v, was %v", name, i, xs[i], orig[i])
+		}
+	}
+}
+
+// medianOfThreeKiller returns n values on which selecting the median rank
+// keeps nearly the whole range in play round after round, and how many
+// rounds of narrow that selection runs over ranges longer than
+// insertionMax. It is McIlroy's adversary driven through narrow itself:
+// every value starts undecided, above all values decided so far, and before
+// each round the range's first and middle elements are decided as the next
+// smallest values, so the median of three is one of the range's few
+// smallest and each round drops only a few elements.
+func medianOfThreeKiller(n int) (xs []float64, rounds int) {
+	const undecided = 1 << 40 // plus the element's index in xs
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = undecided + float64(i)
+	}
+	xs = slices.Clone(s)
+	next := 0.0
+	decide := func(i int) {
+		if s[i] >= undecided {
+			xs[int(s[i]-undecided)] = next
+			s[i] = next
+			next++
+		}
+	}
+	l, r, k := 0, n, (n-1)/2 // k: the rank Percentile(·, 50) reads first
+	for ; r-l > insertionMax; rounds++ {
+		decide(l)
+		decide(l + (r-l)/2)
+		l, r = narrow(s, l, r, k)
+	}
+	return xs, rounds
+}
+
+// selectionInputs returns the input classes the selection is held to at
+// length n.
+func selectionInputs(rng *rand.Rand, n int) []struct {
+	name string
+	xs   []float64
+} {
+	gen := func(f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	negZero := math.Copysign(0, -1)
+	specials := []float64{math.NaN(), math.NaN(), math.Inf(1), math.Inf(-1), 0, negZero, 1, -1, 2.5}
+	zeros := []float64{0, negZero, 1}
+	cases := []struct {
+		name string
+		xs   []float64
+	}{
+		{"exp", gen(func(int) float64 { return rng.ExpFloat64() })},
+		{"all-equal", gen(func(int) float64 { return 3.25 })},
+		{"sorted", gen(func(i int) float64 { return float64(i) })},
+		{"reversed", gen(func(i int) float64 { return float64(n - i) })},
+		{"few-distinct", gen(func(int) float64 { return float64(rng.IntN(4)) })},
+		{"nan-inf", gen(func(int) float64 { return specials[rng.IntN(len(specials))] })},
+		{"all-nan", gen(func(int) float64 { return math.NaN() })},
+		{"organ-pipe", gen(func(i int) float64 { return float64(min(i, n-1-i)) })},
+		{"signed-zeros", gen(func(int) float64 { return zeros[rng.IntN(len(zeros))] })},
+	}
+	killer, _ := medianOfThreeKiller(n)
+	return append(cases, struct {
+		name string
+		xs   []float64
+	}{"median-of-three-killer", killer})
+}
+
+// TestSelectionMatchesSortedOracle holds Summarize and Percentile to the
+// sorted-copy oracle, bit for bit, over every input class at lengths on
+// both sides of insertionMax.
+func TestSelectionMatchesSortedOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 23))
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 8, 16, 17, 18, 33, 100, 1000, 2500} {
+			for _, c := range selectionInputs(rng, n) {
+				checkSelection(t, c.name, c.xs, selectionPercentiles)
+			}
+		}
+	}
+}
+
+// TestSelectionKillerFallsBack builds a median-of-three killer long enough
+// that the median's selection is still open after 2·⌈log₂ n⌉ rounds, so it
+// ends in slices.Sort, and requires the oracle's results from it.
+func TestSelectionKillerFallsBack(t *testing.T) {
+	const n = 2000
+	xs, rounds := medianOfThreeKiller(n)
+	if limit := 2 * bits.Len(uint(n-1)); rounds <= limit {
+		t.Fatalf("killer keeps the selection open for %d rounds, fallback starts after %d", rounds, limit)
+	}
+	checkSelection(t, "median-of-three-killer", xs, selectionPercentiles)
+}
+
+var summarySink Summary
+
+// TestSummarizeAllocatesOnlyTheCopy pins Summarize at one allocation: the
+// copy the selection reorders.
+func TestSummarizeAllocatesOnlyTheCopy(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	xs := make([]float64, 5000)
+	for i := range xs {
+		xs[i] = rng.ExpFloat64()
+	}
+	if got := testing.AllocsPerRun(20, func() { summarySink = Summarize(xs) }); got != 1 {
+		t.Fatalf("Summarize allocates %v times per call, want 1", got)
+	}
+}
+
+// fuzzSpecials are the values a byte in [0xE0, 0xFF) decodes to.
+var fuzzSpecials = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64,
+	-math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-300, 0.5, 1.5,
+}
+
+// decodeFuzzValues turns fuzz bytes into at most 256 values: a byte below
+// 0xE0 is a small integer (ties are likely), one in [0xE0, 0xFF) a special
+// value, and 0xFF takes the next 8 bytes as raw float64 bits.
+func decodeFuzzValues(data []byte) []float64 {
+	var xs []float64
+	for len(data) > 0 && len(xs) < 256 {
+		b := data[0]
+		data = data[1:]
+		switch {
+		case b < 0xE0:
+			xs = append(xs, float64(b)-100)
+		case b < 0xFF:
+			xs = append(xs, fuzzSpecials[int(b-0xE0)%len(fuzzSpecials)])
+		case len(data) >= 8:
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			data = data[8:]
+		}
+	}
+	return xs
+}
+
+// FuzzPercentiles holds Summarize and Percentile to the sorted-copy oracle
+// on arbitrary values and percentiles, bit for bit up to NaN payloads and
+// ±0 ties.
+func FuzzPercentiles(f *testing.F) {
+	pipe := make([]byte, 64)
+	for i := range pipe {
+		pipe[i] = byte(min(i, 63-i))
+	}
+	// The killer's values are distinct; their ranks keep its order in bytes.
+	killer, _ := medianOfThreeKiller(64)
+	order := sortedCopy(killer)
+	kb := make([]byte, len(killer))
+	for i, x := range killer {
+		kb[i] = byte(sort.SearchFloat64s(order, x))
+	}
+	f.Add([]byte{}, 50.0)
+	f.Add([]byte{7}, 99.0)
+	f.Add([]byte{3, 1, 2}, 95.0)
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, 50.0)
+	f.Add([]byte{0xE0, 1, 0xE1, 0xE2, 0xE3, 0xE4, 2, 0xE0}, 25.0)
+	f.Add(append([]byte{0xFF, 1, 0, 0, 0, 0, 0, 0xF8, 0x7F}, 1, 2, 3), 60.0)
+	f.Add(pipe, 99.9)
+	f.Add(kb, 50.0)
+	f.Fuzz(func(t *testing.T, data []byte, p float64) {
+		if math.IsNaN(p) {
+			return // no rank: both the oracle and Percentile index out of range
+		}
+		checkSelection(t, "fuzz", decodeFuzzValues(data), []float64{p})
+	})
 }

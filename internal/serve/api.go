@@ -540,6 +540,7 @@ func (s *simSpec) run(ctx context.Context) (*SimulateResponse, *apiError) {
 }
 
 func buildResponse(res *core.Result, norms []int, detail bool, eng core.EngineKind) *SimulateResponse {
+	sum := metrics.Summarize(res.Flow)
 	out := &SimulateResponse{
 		Policy:        res.Policy,
 		Machines:      res.Machines,
@@ -550,10 +551,30 @@ func buildResponse(res *core.Result, norms []int, detail bool, eng core.EngineKi
 		N:             len(res.Jobs),
 		Events:        res.Events,
 		Norms:         make([]NormValue, 0, len(norms)),
-		Summary:       summarize(res.Flow),
+		Summary: FlowSummary{
+			MeanFlow: sum.MeanFlow,
+			MaxFlow:  sum.MaxFlow,
+			Stddev:   sum.Stddev,
+			P50:      sum.P50,
+			P95:      sum.P95,
+			P99:      sum.P99,
+			Jain:     sum.Jain,
+		},
 	}
 	for _, k := range norms {
-		out.Norms = append(out.Norms, NormValue{K: k, Value: metrics.LkNorm(res.Flow, k)})
+		// The summary already holds ℓ1–ℓ3, bit-equal to LkNorm's.
+		var v float64
+		switch k {
+		case 1:
+			v = sum.L1
+		case 2:
+			v = sum.L2
+		case 3:
+			v = sum.L3
+		default:
+			v = metrics.LkNorm(res.Flow, k)
+		}
+		out.Norms = append(out.Norms, NormValue{K: k, Value: v})
 	}
 	if detail {
 		// Copy, not alias: res may be workspace-owned, and the response is
@@ -562,19 +583,6 @@ func buildResponse(res *core.Result, norms []int, detail bool, eng core.EngineKi
 		out.Flows = append([]float64(nil), res.Flow...)
 	}
 	return out
-}
-
-func summarize(flows []float64) FlowSummary {
-	s := metrics.Summarize(flows)
-	return FlowSummary{
-		MeanFlow: s.MeanFlow,
-		MaxFlow:  s.MaxFlow,
-		Stddev:   s.Stddev,
-		P50:      s.P50,
-		P95:      s.P95,
-		P99:      s.P99,
-		Jain:     s.Jain,
-	}
 }
 
 // mapSimError converts an engine failure into an apiError: context expiry

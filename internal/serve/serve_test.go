@@ -18,6 +18,7 @@ import (
 
 	"rrnorm"
 	"rrnorm/internal/core"
+	"rrnorm/internal/metrics"
 	"rrnorm/internal/polspec"
 	"rrnorm/internal/workload"
 )
@@ -179,6 +180,28 @@ func TestBuildResponseOwnsDetail(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("response changed when the workspace's buffers were reused:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestBuildResponseNormsMatchLkNorm requires every reported norm, in the
+// requested order, to carry LkNorm's bits: k = 1, 2, 3 come from the
+// response's one Summarize call, any other k from LkNorm itself.
+func TestBuildResponseNormsMatchLkNorm(t *testing.T) {
+	in := rrnorm.FromSpecMust("poisson:n=300,load=0.9,dist=pareto", 5)
+	res, err := rrnorm.Simulate(in, "SRPT", rrnorm.Options{Machines: 2, Speed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	norms := []int{3, 1, 4, 2, 1, 7}
+	resp := buildResponse(res, norms, false, core.EngineAuto)
+	if len(resp.Norms) != len(norms) {
+		t.Fatalf("%d norms reported, %d requested", len(resp.Norms), len(norms))
+	}
+	for i, k := range norms {
+		got, want := resp.Norms[i], metrics.LkNorm(res.Flow, k)
+		if got.K != k || math.Float64bits(got.Value) != math.Float64bits(want) {
+			t.Errorf("norm %d = {k=%d %v}, want {k=%d %v}", i, got.K, got.Value, k, want)
+		}
 	}
 }
 

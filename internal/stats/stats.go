@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"strings"
 )
 
@@ -87,29 +86,6 @@ func (s *Sample) CI95() float64 {
 		t = tCrit95[df-1]
 	}
 	return t * s.Std() / math.Sqrt(float64(n))
-}
-
-// Quantile returns the q ∈ [0,1] sample quantile by linear interpolation.
-func (s *Sample) Quantile(q float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // String renders "mean ± ci (n=..)".

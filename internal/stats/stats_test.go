@@ -41,22 +41,6 @@ func TestSampleEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestSampleQuantile(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{5, 1, 3, 2, 4} {
-		s.Add(x)
-	}
-	if q := s.Quantile(0.5); math.Abs(q-3) > 1e-12 {
-		t.Fatalf("median %v", q)
-	}
-	if q := s.Quantile(0); q != 1 {
-		t.Fatalf("q0 %v", q)
-	}
-	if q := s.Quantile(1); q != 5 {
-		t.Fatalf("q1 %v", q)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(99), NewRNG(99)
 	for i := 0; i < 100; i++ {
