@@ -53,8 +53,9 @@ serve-bench:
 # Differential fuzzing of the fast engine against the reference engine,
 # fuzzing of the rrserve request surface (decoder + spec parser), fuzzing
 # of the hunt shrinker's contract (validity + ratio window), of the trace
-# decoder (totality + round trip, the in-place NDJSON scanner against
-# encoding/json, and the number scanner against strconv), of the gzip
+# decoder (totality + round trip, the NDJSON line parser for totality, the
+# round trip through Encode and a strict encoding/json decode as oracle on
+# every line it accepts, and the number scanner against strconv), of the gzip
 # reader (FuzzGunzip: delivered bytes, verdict and error class against
 # compress/gzip), and of the percentile selection behind metrics.Summarize
 # and metrics.Percentile (FuzzPercentiles: bits against a sorted copy).
@@ -110,7 +111,13 @@ replay-smoke:
 	cmp /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-gz.txt
 	/tmp/rrsim-smoke -replay - -policy SRPT -m 2 < testdata/replay/fixture.ndjson.gz > /tmp/rrsim-replay-gz-stdin.txt
 	cmp /tmp/rrsim-replay-stdin.txt /tmp/rrsim-replay-gz-stdin.txt
+	$(GO) build -o /tmp/rrtrace-smoke ./cmd/rrtrace
+	/tmp/rrtrace-smoke convert -in testdata/replay/fixture.csv -o /tmp/rrtrace-fixture.ndjson
+	cmp testdata/replay/fixture.ndjson /tmp/rrtrace-fixture.ndjson
+	/tmp/rrtrace-smoke convert -in testdata/replay/fixture.ndjson -o /tmp/rrtrace-fixture.csv
+	cmp testdata/replay/fixture.csv /tmp/rrtrace-fixture.csv
 	rm -f /tmp/rrsim-smoke /tmp/rrsim-replay-1.txt /tmp/rrsim-replay-2.txt /tmp/rrsim-replay-csv.txt /tmp/rrsim-replay-stdin.txt /tmp/rrsim-replay-gz.txt /tmp/rrsim-replay-gz-stdin.txt
+	rm -f /tmp/rrtrace-smoke /tmp/rrtrace-fixture.ndjson /tmp/rrtrace-fixture.csv
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

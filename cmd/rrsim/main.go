@@ -52,7 +52,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "workload RNG seed")
 		engine  = flag.String("engine", "auto", "simulation engine: auto, reference or fast")
 		withLB  = flag.Bool("lb", false, "also compute the LP/2 lower bound and ratio")
-		dump    = flag.String("dump", "", "write the generated workload as CSV to this path")
+		dump    = flag.String("dump", "", "write the generated workload as a CSV job trace to this path")
 		resOut  = flag.String("resultout", "", "write the last policy's full result as JSON to this path")
 		replay  = flag.String("replay", "", "replay a job trace file through the streaming path ('-' for stdin) instead of -workload")
 		format  = flag.String("format", "ndjson", "trace format for -replay: ndjson or csv")
@@ -87,10 +87,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := workload.WriteCSV(f, in); err != nil {
+		if err := trace.Encode(f, in.Jobs, trace.FormatCSV); err != nil {
 			fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("trace written to %s\n", *dump)
 	}
 

@@ -3,11 +3,16 @@
 //
 // Subcommands:
 //
-//	rrtrace gen -workload poisson:n=100 -o jobs.csv [-json]
+//	rrtrace gen -workload poisson:n=100 -o jobs.csv      (or -o jobs.ndjson)
 //	rrtrace describe -workload trace:path=jobs.csv
 //	rrtrace gantt -workload cascade:levels=5 -policy RR -speed 1 -width 80
 //	rrtrace tail -workload poisson:n=100 -policy RR        (live JSONL event stream)
-//	rrtrace convert -in jobs.csv -o jobs.json   (CSV/SWF → CSV/JSON by extension)
+//	rrtrace convert -in jobs.csv -o jobs.ndjson   (CSV/NDJSON/SWF → CSV/NDJSON)
+//
+// A path's extension picks its format: .ndjson, .jsonl and .json mean an
+// NDJSON job trace, .swf (input only) the Standard Workload Format, and
+// anything else a CSV job trace. Job traces are read and written by
+// internal/trace (DESIGN §15).
 package main
 
 import (
@@ -150,7 +155,7 @@ func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	spec := fs.String("workload", "poisson:n=100", "workload spec")
 	seed := fs.Uint64("seed", 1, "RNG seed")
-	out := fs.String("o", "", "output path (.csv or .json; empty = stdout CSV)")
+	out := fs.String("o", "", "output path (.ndjson, .jsonl or .json: NDJSON; else CSV; empty = stdout CSV)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -216,8 +221,8 @@ func cmdGantt(args []string) error {
 
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	inPath := fs.String("in", "", "input path (.csv, .json or .swf)")
-	out := fs.String("o", "", "output path (.csv or .json; empty = stdout CSV)")
+	inPath := fs.String("in", "", "input path (.ndjson, .jsonl or .json: NDJSON; .swf: SWF; else CSV)")
+	out := fs.String("o", "", "output path (.ndjson, .jsonl or .json: NDJSON; else CSV; empty = stdout CSV)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -230,13 +235,10 @@ func cmdConvert(args []string) error {
 	}
 	defer f.Close()
 	var in *core.Instance
-	switch strings.ToLower(filepath.Ext(*inPath)) {
-	case ".json":
-		in, err = workload.ReadJSON(f)
-	case ".swf":
+	if isSWF(*inPath) {
 		in, err = workload.ReadSWF(f, workload.SWFOptions{})
-	default:
-		in, err = workload.ReadCSV(f)
+	} else {
+		in, err = trace.ReadInstance(f, traceFormat(*inPath))
 	}
 	if err != nil {
 		return err
@@ -244,17 +246,34 @@ func cmdConvert(args []string) error {
 	return writeInstance(in, *out)
 }
 
+// traceFormat picks a job trace's format from its path's extension:
+// .ndjson, .jsonl and .json mean NDJSON, anything else CSV.
+func traceFormat(path string) trace.Format {
+	switch strings.ToLower(filepath.Ext(path)) {
+	case ".ndjson", ".jsonl", ".json":
+		return trace.FormatNDJSON
+	}
+	return trace.FormatCSV
+}
+
+func isSWF(path string) bool { return strings.ToLower(filepath.Ext(path)) == ".swf" }
+
+// writeInstance writes in as a job trace to out, in the format its
+// extension names, or as CSV to stdout when out is empty.
 func writeInstance(in *core.Instance, out string) error {
 	if out == "" {
-		return workload.WriteCSV(os.Stdout, in)
+		return trace.Encode(os.Stdout, in.Jobs, trace.FormatCSV)
+	}
+	if isSWF(out) {
+		return fmt.Errorf("cannot write %s: SWF is an input format only", out)
 	}
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if strings.ToLower(filepath.Ext(out)) == ".json" {
-		return workload.WriteJSON(f, in)
+	if err := trace.Encode(f, in.Jobs, traceFormat(out)); err != nil {
+		f.Close()
+		return err
 	}
-	return workload.WriteCSV(f, in)
+	return f.Close()
 }

@@ -12,8 +12,10 @@ import (
 
 // FuzzShrinker fuzzes the shrinker's contract over seeded random
 // instances: whatever the input, the shrunk witness must validate, never
-// gain jobs, and keep its recomputed ratio inside the two-sided tolerance
-// window around the pre-shrink ratio. Run with
+// gain jobs, keep its recomputed ratio inside the two-sided tolerance
+// window around the pre-shrink ratio, and spend at most its evaluation
+// budget. The budget (0–60) comes from the input, so the fuzzer also
+// tries cheap shrinks; every seed runs at the full 60. Run with
 //
 //	go test -fuzz=FuzzShrinker ./internal/hunt
 //
@@ -21,11 +23,12 @@ import (
 // run as regular test cases.
 func FuzzShrinker(f *testing.F) {
 	for seed := uint64(0); seed < 12; seed++ {
-		f.Add(seed, uint8(2), false)
+		f.Add(seed, uint8(2), false, uint8(60))
 	}
-	f.Add(uint64(1), uint8(1), true)
-	f.Add(uint64(2), uint8(3), true)
-	f.Fuzz(func(t *testing.T, seed uint64, k uint8, multi bool) {
+	f.Add(uint64(1), uint8(1), true, uint8(60))
+	f.Add(uint64(2), uint8(3), true, uint8(60))
+	f.Fuzz(func(t *testing.T, seed uint64, k uint8, multi bool, b uint8) {
+		budget := int(b) % 61
 		p := Params{K: 1 + int(k)%3, MaxJobs: 64}
 		if multi {
 			p.Machines = 2
@@ -40,7 +43,7 @@ func FuzzShrinker(f *testing.F) {
 			t.Skip() // RandomInstance can exceed LP limits; not the shrinker's fault
 		}
 		const tol = 1e-3
-		sr, err := Shrink(context.Background(), in, ev, p, tol, 60)
+		sr, err := Shrink(context.Background(), in, ev, p, tol, budget)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -62,8 +65,8 @@ func FuzzShrinker(f *testing.F) {
 					seed, rev.Ratio, d, ev.Ratio, tol*(1+ev.Ratio))
 			}
 		}
-		if sr.Evals > 60 {
-			t.Fatalf("seed %d: shrinker overspent: %d evals", seed, sr.Evals)
+		if sr.Evals > budget {
+			t.Fatalf("seed %d: shrinker overspent: %d evals, budget %d", seed, sr.Evals, budget)
 		}
 	})
 }

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,9 +29,11 @@ type Format uint8
 
 const (
 	// FormatNDJSON is newline-delimited JSON: one object per line with
-	// fields "id" (int, required), "release" (float, required), "size"
-	// (float, required) and "weight" (float, optional; 0 or absent means
-	// the default weight 1). Unknown fields are rejected.
+	// the keys "id" (integer, required), "release" (number, required),
+	// "size" (number, required) and "weight" (number, optional; 0 or
+	// absent means the default weight 1), in any order. Keys are
+	// lowercase and unescaped, each appears at most once, and any other
+	// key is an error, as is anything after the object (DESIGN §15).
 	FormatNDJSON Format = iota
 	// FormatCSV is comma-separated with a mandatory header row naming a
 	// permutation of id,release,size[,weight]; fields are trimmed of
@@ -251,7 +255,7 @@ func (d *Decoder) next() (core.Job, bool, error) {
 		if d.opts.Format == FormatCSV {
 			j, err = d.parseCSV(raw)
 		} else {
-			j, err = d.parseNDJSON(raw)
+			j, err = d.scanNDJSON(raw)
 		}
 		if err != nil {
 			return core.Job{}, false, err
@@ -305,16 +309,8 @@ func (d *Decoder) markID(id int) bool {
 	return false
 }
 
-// parseNDJSON decodes one NDJSON line: in place when it has the canonical
-// shape scanNDJSON accepts, through encoding/json otherwise.
-func (d *Decoder) parseNDJSON(raw []byte) (core.Job, error) {
-	if j, ok := scanNDJSON(raw); ok {
-		return j, nil
-	}
-	return d.decodeJSON(raw)
-}
-
-// NDJSON keys as bits of the set scanNDJSON has seen on a line.
+// NDJSON keys as bits of the set scanNDJSON has seen on a line, named by
+// keyNames in bit order.
 const (
 	keyID = 1 << iota
 	keyRelease
@@ -324,39 +320,40 @@ const (
 	keysRequired = keyID | keyRelease | keySize
 )
 
-// scanNDJSON decodes b in place, allocating nothing, when it is one object
-// whose keys are exactly "id", "release", "size" and optionally "weight",
-// each lowercase, unescaped and present at most once, with JSON-number
-// values and JSON whitespace between tokens — the shape Encode writes. It
-// reports false for any other line, and decodeJSON then judges it: that
-// path alone accepts or rejects non-canonical input and words its errors.
-// Each value is checked and converted in one walk (parseInt, parseFloat),
-// bit-identical to the strconv calls encoding/json makes for these field
-// types, so an accepted line decodes as decodeJSON would decode it; a
-// number either call rejects also sends the line to decodeJSON.
-func scanNDJSON(b []byte) (core.Job, bool) {
+var keyNames = [...]string{"id", "release", "size", "weight"}
+
+// scanNDJSON decodes one NDJSON line in place, allocating nothing unless
+// the line is malformed. The grammar (DESIGN §15) is one object whose keys
+// are "id", "release", "size" and optionally "weight" — lowercase,
+// unescaped, each at most once, in any order — with one JSON number as
+// each value (an integer for the id), JSON whitespace between tokens and
+// nothing after the object: the lines Encode writes. Any other line is a
+// DecodeError naming the key at fault, or else the byte. Each value is
+// checked and converted in one walk (parseInt, parseFloat), bit-identical
+// to strconv.
+func (d *Decoder) scanNDJSON(b []byte) (core.Job, error) {
 	var j core.Job
 	if len(b) == 0 || b[0] != '{' {
-		return j, false
+		return j, d.syntaxError(b, 0, "", "'{'")
 	}
 	var seen uint8
-	i := 1
-	for {
-		i = skipJSONSpace(b, i)
+	i := skipJSONSpace(b, 1)
+	// "{}" skips the loop: it has no pair, and its keys are missing below.
+	for seen != 0 || i == len(b) || b[i] != '}' {
 		if i == len(b) || b[i] != '"' {
-			return j, false
+			return j, d.syntaxError(b, i, "", "'\"' opening a key")
 		}
 		// Only the four literal names are accepted, and none contains a
 		// quote or backslash, so the first quote ends any key worth
-		// reading; an escaped key never matches and falls back.
+		// reading; an escaped key is an unknown one.
 		n := bytes.IndexByte(b[i+1:], '"')
 		if n < 0 {
-			return j, false
+			return j, d.syntaxError(b, len(b), "", "'\"' closing a key")
 		}
 		key := b[i+1 : i+1+n]
 		i = skipJSONSpace(b, i+n+2)
 		if i == len(b) || b[i] != ':' {
-			return j, false
+			return j, d.syntaxError(b, i, string(key), "':'")
 		}
 		i = skipJSONSpace(b, i+1)
 		var bit uint8
@@ -375,25 +372,36 @@ func scanNDJSON(b []byte) (core.Job, bool) {
 			bit = keyWeight
 			j.Weight, n, ok = parseFloat(b[i:])
 		default:
-			return j, false
+			return j, &DecodeError{Line: d.line, Field: string(key), Reason: "unknown key (want id, release, size or weight, lowercase and unescaped)"}
 		}
-		if !ok || seen&bit != 0 {
-			return j, false
+		if seen&bit != 0 {
+			return j, &DecodeError{Line: d.line, Field: string(key), Reason: "duplicate key"}
 		}
 		seen |= bit
+		if !ok {
+			return j, d.valueError(b[i:], string(key))
+		}
+		v := i
 		i = skipJSONSpace(b, i+n)
-		if i == len(b) {
-			return j, false
+		if i < len(b) && b[i] == '}' {
+			break
 		}
-		if b[i] == '}' {
-			// The caller trimmed the line, so the object must end it.
-			return j, i == len(b)-1 && seen&keysRequired == keysRequired
+		if i == len(b) || b[i] != ',' {
+			if i == v+n && i < len(b) { // a byte glued to the number: one bad value
+				return j, d.valueError(b[v:], string(key))
+			}
+			return j, d.syntaxError(b, i, string(key), "',' or '}'")
 		}
-		if b[i] != ',' {
-			return j, false
-		}
-		i++
+		i = skipJSONSpace(b, i+1)
 	}
+	// The caller trimmed the line, so the object must end it.
+	if i != len(b)-1 {
+		return j, &DecodeError{Line: d.line, Reason: "trailing data after JSON object"}
+	}
+	if missing := keysRequired &^ seen; missing != 0 {
+		return j, &DecodeError{Line: d.line, Field: keyNames[bits.TrailingZeros8(missing)], Reason: "missing required field"}
+	}
+	return j, nil
 }
 
 // skipJSONSpace returns the index of the first byte at or after i that is
@@ -405,45 +413,27 @@ func skipJSONSpace(b []byte, i int) int {
 	return i
 }
 
-// ndRecord mirrors one NDJSON line; pointer fields distinguish absent from
-// zero so required fields can be enforced.
-type ndRecord struct {
-	ID      *int     `json:"id"`
-	Release *float64 `json:"release"`
-	Size    *float64 `json:"size"`
-	Weight  *float64 `json:"weight"`
+// syntaxError reports that b[i], or the end of the line when i == len(b),
+// is not the want that the grammar allows there. field is the key whose
+// pair the error falls in, "" before any key.
+func (d *Decoder) syntaxError(b []byte, i int, field, want string) *DecodeError {
+	if i == len(b) {
+		return &DecodeError{Line: d.line, Field: field, Reason: "invalid JSON: line ends, want " + want}
+	}
+	return &DecodeError{Line: d.line, Field: field, Reason: fmt.Sprintf("invalid JSON: found %q, want %s", b[i:i+1], want)}
 }
 
-// decodeJSON decodes one NDJSON line with encoding/json, the arbiter of
-// every line scanNDJSON does not accept.
-func (d *Decoder) decodeJSON(raw []byte) (core.Job, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var rec ndRecord
-	if err := dec.Decode(&rec); err != nil {
-		return core.Job{}, &DecodeError{Line: d.line, Reason: "invalid JSON: " + err.Error()}
+// valueError reports that the value of key, which b starts with, is not one
+// number (an integer for the id), quoting it up to the next delimiter.
+func (d *Decoder) valueError(b []byte, key string) *DecodeError {
+	if n := bytes.IndexAny(b, ",} \t\r\n"); n >= 0 {
+		b = b[:n]
 	}
-	// Anything after the object would silently drop or invent jobs if
-	// ignored: a second value ("{...} {...}" on one line) or a stray
-	// closer ("{...}}", "{...}]", which dec.More does not report). The
-	// line is trimmed, so the object must end it.
-	if dec.InputOffset() < int64(len(raw)) {
-		return core.Job{}, &DecodeError{Line: d.line, Reason: "trailing data after JSON object"}
+	kind := "number"
+	if key == "id" {
+		kind = "integer"
 	}
-	if rec.ID == nil {
-		return core.Job{}, &DecodeError{Line: d.line, Field: "id", Reason: "missing required field"}
-	}
-	if rec.Release == nil {
-		return core.Job{}, &DecodeError{Line: d.line, Field: "release", Reason: "missing required field"}
-	}
-	if rec.Size == nil {
-		return core.Job{}, &DecodeError{Line: d.line, Field: "size", Reason: "missing required field"}
-	}
-	j := core.Job{ID: *rec.ID, Release: *rec.Release, Size: *rec.Size}
-	if rec.Weight != nil {
-		j.Weight = *rec.Weight
-	}
-	return j, nil
+	return &DecodeError{Line: d.line, Field: key, Reason: fmt.Sprintf("invalid %s %q", kind, b)}
 }
 
 // parseHeader validates the CSV header: a permutation of id,release,size
@@ -531,6 +521,21 @@ func (d *Decoder) parseCSV(line []byte) (core.Job, error) {
 		}
 	}
 	return j, nil
+}
+
+// ReadInstance reads a whole job trace in format f into an instance whose
+// jobs are in (Release, ID) order: it drains a Decoder with Sort, so the
+// trace may list its jobs in any order, and memory is O(n). A trace that
+// holds no job is an error.
+func ReadInstance(r io.Reader, f Format) (*core.Instance, error) {
+	d := NewDecoder(r, DecodeOptions{Format: f, Sort: true})
+	if err := d.bufferAll(); err != nil {
+		return nil, err
+	}
+	if len(d.sorted) == 0 {
+		return nil, errors.New("trace: no jobs in the trace")
+	}
+	return &core.Instance{Jobs: d.sorted}, nil
 }
 
 // Encode writes jobs as a job trace in the given format — the inverse of

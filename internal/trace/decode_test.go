@@ -184,7 +184,57 @@ func TestDecodeMalformed(t *testing.T) {
 		{
 			name: "unknown field",
 			in:   `{"id":0,"release":0,"size":1,"deadline":9}`,
-			line: 1, frag: "invalid JSON",
+			line: 1, field: "deadline", frag: "unknown key",
+		},
+		{
+			name: "case-variant key",
+			in:   `{"ID":0,"release":0,"size":1}`,
+			line: 1, field: "ID", frag: "unknown key",
+		},
+		{
+			name: "escaped key",
+			in:   `{"\u0069d":0,"release":0,"size":1}`,
+			line: 1, field: `\u0069d`, frag: "unknown key",
+		},
+		{
+			name: "duplicate key",
+			in:   `{"id":0,"release":0,"size":1,"size":5}`,
+			line: 1, field: "size", frag: "duplicate key",
+		},
+		{
+			name: "null weight",
+			in:   `{"id":0,"release":0,"size":1,"weight":null}`,
+			line: 1, field: "weight", frag: `invalid number "null"`,
+		},
+		{
+			name: "null id",
+			in:   `{"id":null,"release":0,"size":1}`,
+			line: 1, field: "id", frag: `invalid integer "null"`,
+		},
+		{
+			name: "leading-zero id",
+			in:   `{"id":01,"release":0,"size":1}`,
+			line: 1, field: "id", frag: `invalid integer "01"`,
+		},
+		{
+			name: "missing comma",
+			in:   `{"id":0 "release":0,"size":1}`,
+			line: 1, field: "id", frag: `invalid JSON: found "\"", want ',' or '}'`,
+		},
+		{
+			name: "trailing comma",
+			in:   `{"id":0,"release":0,"size":1,}`,
+			line: 1, frag: `invalid JSON: found "}", want '"' opening a key`,
+		},
+		{
+			name: "unterminated key",
+			in:   `{"id":0,"rel`,
+			line: 1, frag: `invalid JSON: line ends, want '"' closing a key`,
+		},
+		{
+			name: "empty object",
+			in:   `{}`,
+			line: 1, field: "id", frag: "missing required field",
 		},
 		{
 			name: "trailing garbage",
@@ -252,7 +302,7 @@ func TestDecodeMalformed(t *testing.T) {
 		{
 			name: "overflowing size",
 			in:   `{"id":0,"release":0,"size":1e400}`,
-			line: 1, frag: "invalid JSON",
+			line: 1, field: "size", frag: `invalid number "1e400"`,
 		},
 		{
 			name: "csv lowercase inf size",

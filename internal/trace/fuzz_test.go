@@ -25,6 +25,11 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte(`{"id":0,"release":5,"size":1}`+"\n"+`{"id":1,"release":2,"size":1}`+"\n"), uint8(0), true, uint64(3))
 	f.Add([]byte("id,release\n"), uint8(1), false, uint64(4))
 	f.Add([]byte("#\n\nnot json at all"), uint8(0), false, uint64(5))
+	// NDJSON keys and values outside the grammar, each a DecodeError.
+	f.Add([]byte(`{"ID":0,"release":0,"size":1}`+"\n"), uint8(0), false, uint64(6))
+	f.Add([]byte(`{"\u0069d":0,"release":0,"size":1}`+"\n"), uint8(0), false, uint64(7))
+	f.Add([]byte(`{"id":0,"release":0,"size":1,"size":5}`+"\n"), uint8(0), false, uint64(8))
+	f.Add([]byte(`{"id":0,"release":0,"size":1,"weight":null}`+"\n"), uint8(0), false, uint64(9))
 	f.Fuzz(func(t *testing.T, data []byte, format uint8, sortOpt bool, seed uint64) {
 		opts := trace.DecodeOptions{Format: trace.Format(format % 2), Sort: sortOpt}
 		d := trace.NewDecoder(bytes.NewReader(data), opts)

@@ -112,3 +112,12 @@ func (p Profile) tags() []string {
 	sort.Strings(tags)
 	return tags
 }
+
+// Describe returns a one-line human-readable summary of an instance.
+func Describe(in *core.Instance) string {
+	if in.N() == 0 {
+		return "empty instance"
+	}
+	return fmt.Sprintf("n=%d, span=[0,%.3g], total work=%.4g, mean size=%.4g",
+		in.N(), in.MaxRelease(), in.TotalWork(), in.TotalWork()/float64(in.N()))
+}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"rrnorm/internal/trace"
 )
 
-// FuzzReadCSV ensures the CSV trace parser never panics and that anything
-// it accepts round-trips.
+// FuzzReadCSV ensures a CSV job trace read through trace:path= never
+// panics, and that anything it accepts is a valid instance that comes
+// back bit for bit after trace.Encode.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("id,release,size\n1,0,1\n")
 	f.Add("id,release,size,weight\n1,0,1,2\n2,3,0.5,0\n")
@@ -15,7 +18,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("")
 	f.Add("id,release,size\n1,NaN,1\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		in, err := ReadCSV(strings.NewReader(data))
+		in, err := fromCSVTrace(t, data)
 		if err != nil {
 			return
 		}
@@ -23,16 +26,14 @@ func FuzzReadCSV(f *testing.F) {
 			t.Fatalf("accepted invalid instance: %v", vErr)
 		}
 		var buf bytes.Buffer
-		if err := WriteCSV(&buf, in); err != nil {
+		if err := trace.Encode(&buf, in.Jobs, trace.FormatCSV); err != nil {
 			t.Fatalf("write-back failed: %v", err)
 		}
-		back, err := ReadCSV(&buf)
+		back, err := fromCSVTrace(t, buf.String())
 		if err != nil {
 			t.Fatalf("round-trip failed: %v", err)
 		}
-		if back.N() != in.N() {
-			t.Fatalf("round-trip changed n: %d vs %d", back.N(), in.N())
-		}
+		requireJobs(t, back.Jobs, in.Jobs)
 	})
 }
 

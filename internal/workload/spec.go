@@ -26,7 +26,7 @@ import (
 //	cascade    levels, theta                              (multi-scale lower-bound instance)
 //	starvation big, n, small                              (one big job + unit stream)
 //	staircase  n                                          (descending batch)
-//	trace      path                                       (CSV written by WriteCSV)
+//	trace      path                                       (CSV job trace, trace.FormatCSV; rows in any order)
 //	swf        path, max, scale                           (Standard Workload Format)
 //	fitted     path, format, sort, n, cap                 (bootstrap from a fitted job trace)
 //
@@ -128,7 +128,7 @@ func FromSpec(spec string, seed uint64) (*core.Instance, error) {
 			return nil, err
 		}
 		defer f.Close()
-		return ReadCSV(f)
+		return trace.ReadInstance(f, trace.FormatCSV)
 	case "swf":
 		path := args.strOr("path", "")
 		maxJobs := args.intOr("max", 0)

@@ -1,9 +1,17 @@
 package workload
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"rrnorm/internal/core"
+	"rrnorm/internal/stats"
+	"rrnorm/internal/trace"
 )
 
 func TestFromSpecKinds(t *testing.T) {
@@ -63,24 +71,97 @@ func TestFromSpecErrors(t *testing.T) {
 	}
 }
 
+// fromCSVTrace writes csv to a file and reads it back through
+// FromSpec("trace:path=…").
+func fromCSVTrace(t *testing.T, csv string) (*core.Instance, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "jobs.csv")
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return FromSpec("trace:path="+path, 1)
+}
+
+// requireJobs fails t unless got is want, bit for bit.
+func requireJobs(t *testing.T, got, want []core.Job) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("n=%d, want %d", len(got), len(want))
+	}
+	for i, j := range got {
+		w := want[i]
+		if j.ID != w.ID || math.Float64bits(j.Release) != math.Float64bits(w.Release) ||
+			math.Float64bits(j.Size) != math.Float64bits(w.Size) ||
+			math.Float64bits(j.Weight) != math.Float64bits(w.Weight) {
+			t.Fatalf("job %d: %+v, want %+v", i, j, w)
+		}
+	}
+}
+
+// TestFromSpecTrace: trace:path= reads a CSV job trace through
+// trace.ReadInstance. Columns are found by their header names, rows may
+// come in any order, and the jobs come back bit for bit in (Release, ID)
+// order.
 func TestFromSpecTrace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.csv")
-	f, err := os.Create(path)
+	const dir = "../../testdata/replay/"
+	nd, err := os.Open(dir + "fixture.ndjson")
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := Staircase(4)
-	if err := WriteCSV(f, in); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	back, err := FromSpec("trace:path="+path, 1)
+	defer nd.Close()
+	fixture, err := trace.ReadInstance(nd, trace.FormatNDJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != 4 {
-		t.Fatalf("n=%d", back.N())
+	fixtureCSV, err := os.ReadFile(dir + "fixture.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	permuted := "size,id,weight,release\n"
+	for _, j := range fixture.Jobs {
+		permuted += g(j.Size) + "," + strconv.Itoa(j.ID) + "," + g(j.Weight) + "," + g(j.Release) + "\n"
+	}
+	pareto := Poisson(stats.NewRNG(6), 30, 1.5, ParetoSizes{Alpha: 2, Xm: 1})
+	var encoded bytes.Buffer
+	if err := trace.Encode(&encoded, pareto.Jobs, trace.FormatCSV); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name string
+		csv  string
+		want []core.Job
+	}{
+		{name: "fixture csv", csv: string(fixtureCSV), want: fixture.Jobs},
+		{name: "permuted columns", csv: permuted, want: fixture.Jobs},
+		{name: "encode round trip", csv: encoded.String(), want: pareto.Jobs},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in, err := fromCSVTrace(t, c.csv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireJobs(t, in.Jobs, c.want)
+		})
+	}
+}
+
+// TestReadCSVErrors: whatever the CSV decoder rejects is an error through
+// trace:path=, as is a file with no job.
+func TestReadCSVErrors(t *testing.T) {
+	cases := []struct{ csv, frag string }{
+		{"", "no jobs"},
+		{"a,b\n1,2\n", "unknown column"},
+		{"id,release,size\nx,0,1\n", `invalid integer "x"`},
+		{"id,release,size\n1,zz,1\n", `invalid number "zz"`},
+		{"id,release,size\n1,0,-4\n", "negative or non-finite size"},
+	}
+	for i, c := range cases {
+		if _, err := fromCSVTrace(t, c.csv); err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("case %d: error %v, want one mentioning %q", i, err, c.frag)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -172,58 +171,6 @@ func TestStaircase(t *testing.T) {
 	in := Staircase(4)
 	if in.N() != 4 || in.Jobs[0].Size != 4 || in.Jobs[3].Size != 1 {
 		t.Fatalf("staircase: %+v", in.Jobs)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	in := Poisson(stats.NewRNG(6), 30, 1.5, ParetoSizes{Alpha: 2, Xm: 1})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != in.N() {
-		t.Fatalf("n=%d, want %d", back.N(), in.N())
-	}
-	for i := range in.Jobs {
-		if in.Jobs[i] != back.Jobs[i] {
-			t.Fatalf("job %d differs: %+v vs %+v", i, in.Jobs[i], back.Jobs[i])
-		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	in := RRStream(8, 2)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range in.Jobs {
-		if in.Jobs[i] != back.Jobs[i] {
-			t.Fatalf("job %d differs", i)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"a,b\n1,2\n",
-		"id,release,size\nx,0,1\n",
-		"id,release,size\n1,zz,1\n",
-		"id,release,size\n1,0,-4\n", // invalid size caught by Validate
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(bytes.NewBufferString(c)); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
 	}
 }
 
