@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fmt-check lint lint-fix-check bench bench-engine bench-smoke perfbench-smoke fuzz hunt hunt-smoke replay-smoke suite results-check serve serve-test serve-bench clean
+.PHONY: build test verify fmt-check lint lint-fix-check bench bench-smoke perfbench-smoke fuzz hunt hunt-smoke replay-smoke suite results-check serve serve-test clean
 
 build:
 	$(GO) build ./...
@@ -45,10 +45,6 @@ serve-test:
 # Run the service locally.
 serve:
 	$(GO) run ./cmd/rrserve -addr :8080
-
-# Regenerate the serve cache baseline (BENCH_serve.json).
-serve-bench:
-	WRITE_BENCH=1 $(GO) test ./internal/serve -run TestWriteServeBenchBaseline -v
 
 # Differential fuzzing of the fast engine against the reference engine,
 # fuzzing of the rrserve request surface (decoder + spec parser), fuzzing
@@ -122,34 +118,27 @@ replay-smoke:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# Regenerate the committed engine baselines: BENCH_engine.json (ns/op,
-# ns/job, allocs/op and B/op for RR and SRPT at n ∈ {1e3..1e6}, m ∈ {1, 8},
-# the workspace-vs-fresh and vs-seed comparisons, single-run walls at
-# n ∈ {1e6, 1e7} with the RR n=1e7 < 1s gate, and the sharded SRPT
-# speedup row), BENCH_observe.json (the
-# n=1e6 streaming-observer vs RecordSegments comparison: ns/op, heap
-# churn, peak RSS) and BENCH_stream.json (a 1e7-job streaming JobSource
-# replay in a child process whose Maxrss must stay under the
-# bounded-memory gate). The writers fail if any grid cell or observer
-# path allocates, the n=1e4 workspace speedup drops below 25%, Segment
-# recording stops being ≥10x the observer path's heap churn, or the
-# streaming replay's peak RSS exceeds its gate.
-bench-engine:
-	WRITE_BENCH=1 $(GO) test -run 'TestWriteEngineBenchBaseline|TestWriteObserveBenchBaseline|TestWriteStreamBenchBaseline' -v -timeout 30m .
-
-# CI allocation + performance gate: the hot-path alloc budget tests
-# (0 allocs/run with a reused workspace for every policy on the reference
-# engine and every fast loop, with and without observers attached; stated
-# budgets for the materializing observers; DESIGN.md §12 maps each row),
-# the bulk-advance ratchet (fast RR at n=1e6 ≥2x the reference per-epoch
-# engine on one identical machine, ≥1.5x on speeds {1, 3}),
-# plus a 100-iteration pass over the workspace grid (-short skips the
-# n=1e6 cells the ratchet already covers) and the observers-vs-segments
-# comparison so allocs/op regressions surface in the job log without a
-# full bench run.
+# CI allocation + performance gate. No bound is an absolute time from one
+# host: each timing gate is a ratio of times measured in the same run.
+# - the alloc budgets: 0 allocs/run with a reused workspace for every
+#   policy on the reference engine and every fast loop (RR and SRPT also at
+#   m ∈ {1, 8}), with and without observers attached, and stated budgets
+#   for the materializing observers (DESIGN.md §12 maps each row);
+# - TestBenchSmokeRatchet: fast RR at n=1e6 ≥2x the reference per-epoch
+#   engine on one identical machine, ≥1.5x on speeds {1, 3}, and ≥7.7x on
+#   the seed instance (n=1e4), the ≥25%-faster-than-the-seed floor;
+# - TestSegmentsChurn: Segment recording at n=1e5 churns ≥10x the observer
+#   path's heap, whose runs allocate nothing;
+# - TestRRTenMillionJobs: fast RR at n=1e7 within 1.6x its ns/job at n=1e5,
+#   0 allocs per steady run, in a child process per m ∈ {1, 8};
+# - TestStreamReplayRSS: a child process streaming 1e7 jobs peaks under
+#   256 MiB RSS;
+# - TestShardedSRPTSpeedup: machine-sharded SRPT ≥3x serial, armed only at
+#   GOMAXPROCS ≥ 4;
+# - internal/serve's TestCacheHitFaster: a cache hit ≥10x faster than a miss.
 bench-smoke:
-	$(GO) test -run 'TestEngineAllocBudget|TestObserverAllocBudget|TestStreamAllocBudget|TestBenchSmokeRatchet' -v .
-	$(GO) test -run xxx -short -bench 'BenchmarkEngineWorkspaceGrid|BenchmarkEngineRR$$|BenchmarkEngineFastVsReference|BenchmarkObserverVsSegments' -benchtime=100x -benchmem .
+	$(GO) test -run 'TestEngineAllocBudget|TestObserverAllocBudget|TestStreamAllocBudget|TestBenchSmokeRatchet|TestSegmentsChurn|TestRRTenMillionJobs|TestStreamReplayRSS|TestShardedSRPTSpeedup' -v .
+	$(GO) test -run 'TestCacheHitFaster' -v ./internal/serve
 
 # The layer-ladder benchmark is a module of its own (perfbench/go.mod,
 # replace rrnorm => ../), so `go test ./...` at the root never compiles it.

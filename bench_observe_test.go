@@ -1,13 +1,9 @@
 package rrnorm_test
 
 import (
-	"encoding/json"
 	"io"
 	"math"
-	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"rrnorm/internal/core"
@@ -21,11 +17,8 @@ import (
 	"rrnorm/internal/workload"
 )
 
-// observeBenchN is the committed-baseline size: one million jobs, the scale
-// at which a recorded Segment timeline stops being a reasonable data
-// structure (hundreds of MB live) while the streaming observers stay O(1).
-const observeBenchN = 1_000_000
-
+// observeInstance is the observer tests' workload: n jobs at load 0.9 on
+// four machines.
 func observeInstance(n int) *core.Instance {
 	return workload.PoissonLoad(stats.NewRNG(3), n, 4, 0.9, workload.ExpSizes{M: 1})
 }
@@ -34,7 +27,8 @@ func observeInstance(n int) *core.Instance {
 
 // TestStreamNormMillionJobs is the streaming-pipeline acceptance test: an
 // n=1e6 RR run with a StreamNorm attached completes on the fast engine
-// without materializing Segments, and its ℓ1/ℓ2/ℓ3 agree with the
+// without materializing Segments (at this size a recorded timeline holds
+// hundreds of MB live), and its ℓ1/ℓ2/ℓ3 agree with the
 // Flow-derived reference (metrics.LkNorm — the exact post-processing the
 // Segment-pipeline consumers computed) at 1e-6. Agreement with the Segment
 // timeline itself is pinned separately by the 1200-seed differential test
@@ -43,7 +37,7 @@ func TestStreamNormMillionJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-job run is too slow for -short")
 	}
-	in := observeInstance(observeBenchN)
+	in := observeInstance(1_000_000)
 	sn := metrics.NewStreamNorm(1, 2, 3)
 	res, err := fast.Run(in, policy.NewRR(), core.Options{Machines: 4, Speed: 1, Observer: sn})
 	if err != nil {
@@ -163,7 +157,62 @@ func TestObserverAllocBudget(t *testing.T) {
 	}
 }
 
-// --- benchmark: observers vs RecordSegments ----------------------------------
+// --- observers vs RecordSegments ---------------------------------------------
+
+// segmentsN is the size TestSegmentsChurn and BenchmarkObserverVsSegments
+// run at.
+const segmentsN = 100_000
+
+// TestSegmentsChurn pins the memory claim behind the streaming observer
+// pipeline: with a StreamNorm attached, a steady run allocates nothing and
+// records no Segments on either engine, while recording Segments on the
+// reference engine churns at least 10× the heap the observer path does.
+// The observer path churns zero bytes, so its side of the ratio is clamped
+// to 1 MiB.
+func TestSegmentsChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records Segments for 10⁵ jobs; skipped under -short")
+	}
+	in := observeInstance(segmentsN)
+	sn := metrics.NewStreamNorm(1, 2, 3)
+	p := policy.NewRR()
+	// steady warms a workspace with one run of opts, then returns the heap
+	// bytes one more run allocates, that run's Segment count, and the run.
+	steady := func(opts core.Options) (uint64, int, func()) {
+		ws := core.NewWorkspace()
+		run := func() *core.Result {
+			sn.Reset()
+			res, err := fast.RunWS(in, p, opts, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		segments := len(run().Segments)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, segments, func() { run() }
+	}
+	var observed uint64
+	for _, eng := range []core.EngineKind{core.EngineFast, core.EngineReference} {
+		bytes, segments, run := steady(core.Options{Machines: 4, Speed: 1, Engine: eng, Observer: sn})
+		if allocs := testing.AllocsPerRun(3, run); allocs > 0 || segments > 0 {
+			t.Errorf("observer/%v: %v allocs/run and %d Segments in steady state, want none", eng, allocs, segments)
+		}
+		if eng == core.EngineReference {
+			observed = bytes
+		}
+	}
+	recorded, segments, _ := steady(core.Options{Machines: 4, Speed: 1, RecordSegments: true})
+	ratio := float64(recorded) / math.Max(1<<20, float64(observed))
+	t.Logf("n=%d: recording %d Segments churns %.1f MB, the observer path %d B on the same engine: %.0fx",
+		segmentsN, segments, float64(recorded)/1e6, observed, ratio)
+	if ratio < 10 {
+		t.Errorf("recording Segments churns only %.1fx the observer path's heap, want ≥10x", ratio)
+	}
+}
 
 // benchObservePath times one run configuration with workspace reuse.
 func benchObservePath(b *testing.B, in *core.Instance, opts core.Options, reset func()) {
@@ -186,14 +235,13 @@ func benchObservePath(b *testing.B, in *core.Instance, opts core.Options, reset 
 	}
 }
 
-// BenchmarkObserverVsSegments compares the streaming observer pipeline
-// against Segment recording at n=1e5 (small enough for the 100x CI smoke
-// pass; BENCH_observe.json holds the committed n=1e6 numbers). The
-// segments leg necessarily runs the reference engine — recording forces
-// it — so observer/reference is the apples-to-apples comparison and
-// observer/fast is the full fast-path win.
+// BenchmarkObserverVsSegments times the streaming observer pipeline
+// against Segment recording at n=10⁵. The segments leg necessarily runs
+// the reference engine — recording forces it — so observer/reference is
+// the apples-to-apples comparison and observer/fast is the full fast-path
+// win.
 func BenchmarkObserverVsSegments(b *testing.B) {
-	in := observeInstance(100_000)
+	in := observeInstance(segmentsN)
 	b.Run("segments/reference", func(b *testing.B) {
 		benchObservePath(b, in, core.Options{Machines: 4, Speed: 1, RecordSegments: true}, nil)
 	})
@@ -208,178 +256,4 @@ func BenchmarkObserverVsSegments(b *testing.B) {
 			core.Options{Machines: 4, Speed: 1, Engine: core.EngineFast, Observer: sn},
 			sn.Reset)
 	})
-}
-
-// --- committed baseline (make bench-engine) ----------------------------------
-
-// observePath is one row of BENCH_observe.json: timing from a
-// testing.Benchmark pass plus the memory story of a single run —
-// TotalAlloc delta (GC-independent churn) and the process peak RSS
-// (VmHWM) sampled right after the run.
-type observePath struct {
-	Engine          string  `json:"engine"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	BytesPerOp      int64   `json:"bytes_per_op"`
-	RunAllocBytes   uint64  `json:"run_alloc_bytes"`
-	PeakRSSBytes    uint64  `json:"peak_rss_bytes"`
-	HeapInuseBytes  uint64  `json:"heap_inuse_after_bytes"`
-	SegmentsPerRun  int     `json:"segments_per_run"`
-	CompletionsSeen int     `json:"completions_seen"`
-}
-
-// observeBenchBaseline is the schema of BENCH_observe.json.
-type observeBenchBaseline struct {
-	Benchmark string `json:"benchmark"`
-	GoMaxProc int    `json:"gomaxprocs"`
-	N         int    `json:"n"`
-	Machines  int    `json:"machines"`
-	// Paths: bare (no observer, fast), observer_fast, observer_reference,
-	// segments_reference — measured in that order so the monotone VmHWM
-	// readings bound each path's own peak from below.
-	Paths map[string]observePath `json:"paths"`
-	// ObserverOverheadFast is observer_fast vs bare ns/op on the fast
-	// engine: the marginal cost of streaming ℓk norms.
-	ObserverOverheadFast float64 `json:"observer_overhead_fast"`
-	// SegmentsAllocRatio is segments_reference vs observer_reference
-	// run_alloc_bytes: how much heap churn Segment recording adds over the
-	// streaming pipeline on the same engine. The observer path churns zero
-	// bytes in steady state, so the denominator is clamped to 1 MiB to keep
-	// the committed figure finite.
-	SegmentsAllocRatio float64 `json:"segments_alloc_ratio"`
-}
-
-// peakRSSBytes reads the process high-water RSS (VmHWM) from
-// /proc/self/status; 0 where unavailable. The reading is monotone over the
-// process lifetime, so measure cheap paths before expensive ones.
-func peakRSSBytes() uint64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseUint(f[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb * 1024
-	}
-	return 0
-}
-
-// measureObservePath benchmarks one configuration and takes the memory
-// readings of a single additional run.
-func measureObservePath(t *testing.T, in *core.Instance, opts core.Options, reset func()) observePath {
-	t.Helper()
-	ws := core.NewWorkspace()
-	p := policy.NewRR()
-	run := func(fail func(...any)) *core.Result {
-		if reset != nil {
-			reset()
-		}
-		res, err := fast.RunWS(in, p, opts, ws)
-		if err != nil {
-			fail(err)
-		}
-		return res
-	}
-	r := testing.Benchmark(func(b *testing.B) {
-		run(b.Fatal) // warm-up
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b.Fatal)
-		}
-	})
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := run(t.Fatal)
-	runtime.ReadMemStats(&after)
-	return observePath{
-		NsPerOp:         float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp:     r.AllocsPerOp(),
-		BytesPerOp:      r.AllocedBytesPerOp(),
-		RunAllocBytes:   after.TotalAlloc - before.TotalAlloc,
-		PeakRSSBytes:    peakRSSBytes(),
-		HeapInuseBytes:  after.HeapInuse,
-		SegmentsPerRun:  len(res.Segments),
-		CompletionsSeen: len(res.Flow),
-	}
-}
-
-// TestWriteObserveBenchBaseline rewrites BENCH_observe.json: the n=1e6
-// observers-vs-RecordSegments comparison behind the streaming pipeline's
-// perf claim. Gated behind WRITE_BENCH=1 (`make bench-engine`) because the
-// segments leg materializes the full million-job timeline on purpose. The
-// writer enforces the acceptance gates — 0 allocs/op on both observer
-// paths in steady state, and Segment recording churning at least 10× the
-// observer path's heap — so the committed numbers cannot drift below what
-// DESIGN.md §13 claims.
-func TestWriteObserveBenchBaseline(t *testing.T) {
-	if os.Getenv("WRITE_BENCH") == "" {
-		t.Skip("set WRITE_BENCH=1 to rewrite BENCH_observe.json")
-	}
-	in := observeInstance(observeBenchN)
-	base := observeBenchBaseline{
-		Benchmark: "BenchmarkObserverVsSegments",
-		GoMaxProc: runtime.GOMAXPROCS(0),
-		N:         observeBenchN,
-		Machines:  4,
-		Paths:     map[string]observePath{},
-	}
-	sn := metrics.NewStreamNorm(1, 2, 3)
-	type leg struct {
-		name   string
-		engine string
-		opts   core.Options
-		reset  func()
-	}
-	// Order matters: VmHWM is monotone, so the cheap paths go first.
-	legs := []leg{
-		{"bare", "fast", core.Options{Machines: 4, Speed: 1, Engine: core.EngineFast}, nil},
-		{"observer_fast", "fast", core.Options{Machines: 4, Speed: 1, Engine: core.EngineFast, Observer: sn}, sn.Reset},
-		{"observer_reference", "reference", core.Options{Machines: 4, Speed: 1, Engine: core.EngineReference, Observer: sn}, sn.Reset},
-		{"segments_reference", "reference", core.Options{Machines: 4, Speed: 1, RecordSegments: true}, nil},
-	}
-	for _, l := range legs {
-		p := measureObservePath(t, in, l.opts, l.reset)
-		p.Engine = l.engine
-		base.Paths[l.name] = p
-		t.Logf("%s: %.0f ns/op, %d allocs/op, run churn %.1f MB, peak RSS %.1f MB, %d segments",
-			l.name, p.NsPerOp, p.AllocsPerOp, float64(p.RunAllocBytes)/1e6, float64(p.PeakRSSBytes)/1e6, p.SegmentsPerRun)
-		if strings.HasPrefix(l.name, "observer") || l.name == "bare" {
-			if p.AllocsPerOp > 0 {
-				t.Errorf("%s: %d allocs/op in steady state, budget is 0", l.name, p.AllocsPerOp)
-			}
-			if p.SegmentsPerRun != 0 {
-				t.Errorf("%s: materialized %d Segments", l.name, p.SegmentsPerRun)
-			}
-		}
-	}
-	bare, of := base.Paths["bare"], base.Paths["observer_fast"]
-	or, seg := base.Paths["observer_reference"], base.Paths["segments_reference"]
-	base.ObserverOverheadFast = of.NsPerOp/bare.NsPerOp - 1
-	base.SegmentsAllocRatio = float64(seg.RunAllocBytes) / math.Max(1<<20, float64(or.RunAllocBytes))
-	t.Logf("observer overhead on fast engine: %.1f%%; segments heap churn ratio: %.0fx",
-		base.ObserverOverheadFast*100, base.SegmentsAllocRatio)
-	if base.SegmentsAllocRatio < 10 {
-		t.Errorf("Segment recording churns only %.1fx the observer path's heap; the streaming claim needs ≥10x", base.SegmentsAllocRatio)
-	}
-	buf, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile("BENCH_observe.json", buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("wrote BENCH_observe.json")
 }

@@ -238,22 +238,12 @@ func cmdConvert(args []string) error {
 	if isSWF(*inPath) {
 		in, err = workload.ReadSWF(f, workload.SWFOptions{})
 	} else {
-		in, err = trace.ReadInstance(f, traceFormat(*inPath))
+		in, err = trace.ReadInstance(f, trace.PathFormat(*inPath))
 	}
 	if err != nil {
 		return err
 	}
 	return writeInstance(in, *out)
-}
-
-// traceFormat picks a job trace's format from its path's extension:
-// .ndjson, .jsonl and .json mean NDJSON, anything else CSV.
-func traceFormat(path string) trace.Format {
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".ndjson", ".jsonl", ".json":
-		return trace.FormatNDJSON
-	}
-	return trace.FormatCSV
 }
 
 func isSWF(path string) bool { return strings.ToLower(filepath.Ext(path)) == ".swf" }
@@ -271,7 +261,7 @@ func writeInstance(in *core.Instance, out string) error {
 	if err != nil {
 		return err
 	}
-	if err := trace.Encode(f, in.Jobs, traceFormat(out)); err != nil {
+	if err := trace.Encode(f, in.Jobs, trace.PathFormat(out)); err != nil {
 		f.Close()
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,6 +60,16 @@ func ParseFormat(name string) (Format, error) {
 		return FormatCSV, nil
 	}
 	return 0, fmt.Errorf("trace: unknown format %q (want ndjson or csv)", name)
+}
+
+// PathFormat picks a job trace's format from its path's extension:
+// .ndjson, .jsonl and .json mean NDJSON, anything else CSV.
+func PathFormat(path string) Format {
+	switch strings.ToLower(filepath.Ext(path)) {
+	case ".ndjson", ".jsonl", ".json":
+		return FormatNDJSON
+	}
+	return FormatCSV
 }
 
 // DecodeError is a structured trace-decoding failure: the 1-based line it

@@ -98,18 +98,18 @@ func requireJobs(t *testing.T, got, want []core.Job) {
 	}
 }
 
-// TestFromSpecTrace: trace:path= reads a CSV job trace through
-// trace.ReadInstance. Columns are found by their header names, rows may
-// come in any order, and the jobs come back bit for bit in (Release, ID)
-// order.
+// TestFromSpecTrace: trace:path= reads a job trace through
+// trace.ReadInstance, as NDJSON when the path ends .ndjson and as CSV
+// otherwise. CSV columns are found by their header names, rows may come in
+// any order, and the jobs come back bit for bit in (Release, ID) order.
 func TestFromSpecTrace(t *testing.T) {
 	const dir = "../../testdata/replay/"
-	nd, err := os.Open(dir + "fixture.ndjson")
+	f, err := os.Open(dir + "fixture.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nd.Close()
-	fixture, err := trace.ReadInstance(nd, trace.FormatNDJSON)
+	defer f.Close()
+	fixture, err := trace.ReadInstance(f, trace.FormatCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +146,14 @@ func TestFromSpecTrace(t *testing.T) {
 			requireJobs(t, in.Jobs, c.want)
 		})
 	}
+	// The same 400 jobs in NDJSON, found by the path's extension.
+	t.Run("fixture ndjson", func(t *testing.T) {
+		in, err := FromSpec("trace:path="+dir+"fixture.ndjson", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireJobs(t, in.Jobs, fixture.Jobs)
+	})
 }
 
 // TestReadCSVErrors: whatever the CSV decoder rejects is an error through

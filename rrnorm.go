@@ -208,7 +208,7 @@ func NewInstanceSource(in *Instance) JobSource { return core.NewInstanceSource(i
 // SimulateStream runs the named policy over a streaming job source,
 // honoring opts.Engine. Memory stays bounded by the schedule's alive set
 // regardless of how many jobs the source yields: at n=10⁷ the whole run
-// fits in a few MB of RSS (BENCH_stream.json) where the materialized
+// fits in a few MB of RSS (TestStreamReplayRSS) where the materialized
 // instance alone would need hundreds.
 func SimulateStream(src JobSource, policyName string, opts Options) (StreamResult, error) {
 	p, err := policy.New(policyName)
