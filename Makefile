@@ -127,7 +127,7 @@ bench:
 # - TestBenchSmokeRatchet: fast RR at n=1e6 ≥2x the reference per-epoch
 #   engine on one identical machine, ≥1.5x on speeds {1, 3}, and ≥7.7x on
 #   the seed instance (n=1e4), the ≥25%-faster-than-the-seed floor;
-# - TestSegmentsChurn: Segment recording at n=1e5 churns ≥10x the observer
+# - TestSegmentsChurn: a SegmentRecorder at n=1e5 churns ≥10x the observer
 #   path's heap, whose runs allocate nothing;
 # - TestRRTenMillionJobs: fast RR at n=1e7 within 1.6x its ns/job at n=1e5,
 #   0 allocs per steady run, in a child process per m ∈ {1, 8};

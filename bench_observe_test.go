@@ -27,7 +27,7 @@ func observeInstance(n int) *core.Instance {
 
 // TestStreamNormMillionJobs is the streaming-pipeline acceptance test: an
 // n=1e6 RR run with a StreamNorm attached completes on the fast engine
-// without materializing Segments (at this size a recorded timeline holds
+// with no Segment timeline recorded (at this size a SegmentRecorder holds
 // hundreds of MB live), and its ℓ1/ℓ2/ℓ3 agree with the
 // Flow-derived reference (metrics.LkNorm — the exact post-processing the
 // Segment-pipeline consumers computed) at 1e-6. Agreement with the Segment
@@ -42,9 +42,6 @@ func TestStreamNormMillionJobs(t *testing.T) {
 	res, err := fast.Run(in, policy.NewRR(), core.Options{Machines: 4, Speed: 1, Observer: sn})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Segments != nil {
-		t.Fatalf("run materialized %d Segments; the observer path must not record", len(res.Segments))
 	}
 	if sn.N() != in.N() {
 		t.Fatalf("StreamNorm saw %d completions, want %d", sn.N(), in.N())
@@ -116,35 +113,28 @@ func TestObserverAllocBudget(t *testing.T) {
 	// Observers whose output is their allocation hold a stated budget
 	// instead of 0: allocs/run ≤ perJob·n + fixed, with a fresh observer
 	// per run (EngineAuto, so the fast path runs where it is eligible).
-	// The record-segments row is the engine's own RecordSegments mode,
-	// with no observer attached.
 	n := float64(in.N())
 	budgeted := []struct {
 		name          string
 		obs           func() core.Observer
-		record        bool    // Options.RecordSegments
 		perJob, fixed float64 // the budget
 		why           string
 	}{
-		{"trace", func() core.Observer { return trace.NewObserver(io.Discard) }, false, 12, 64,
+		{"trace", func() core.Observer { return trace.NewObserver(io.Discard) }, 12, 64,
 			"encoding/json boxes one record per arrival, completion and epoch (RR has at most two epochs per job), " +
 				"and its pooled encoder state, which the race detector drains at random, can cost two more per record"},
-		{"segments", func() core.Observer { return &core.SegmentRecorder{} }, false, 4, 64,
+		{"segments", func() core.Observer { return &core.SegmentRecorder{} }, 4, 64,
 			"each recorded Segment owns copies of its job and rate slices: two per epoch"},
-		{"record-segments", func() core.Observer { return nil }, true, 4, 64,
-			"each recorded Segment owns copies of its job and rate slices: two per epoch"},
-		{"gantt", func() core.Observer { return core.NewGanttObserver(80) }, false, 2, 64,
-			"the chart keeps per-job accumulators and one bar run per epoch"},
-		{"witness", func() core.Observer { w, _ := dual.NewWitnessObserver(2, 0.1, 2); return w }, false, 0, 128,
+		{"witness", func() core.Observer { w, _ := dual.NewWitnessObserver(2, 0.1, 2); return w }, 0, 128,
 			"only the certificate and the O(log n) growth of the fresh observer's per-job arrays"},
-		{"monitor", func() core.Observer { return hunt.NewStreamMonitor(2, 1) }, false, 0, 128,
+		{"monitor", func() core.Observer { return hunt.NewStreamMonitor(2, 1) }, 0, 128,
 			"only the O(log n) growth of the fresh monitor's per-job arrays; anomaly messages format only when an invariant breaks"},
 	}
 	for _, b := range budgeted {
 		t.Run(b.name, func(t *testing.T) {
 			ws := core.NewWorkspace()
 			run := func() {
-				opts := core.Options{Machines: 2, Speed: 1, Observer: b.obs(), RecordSegments: b.record}
+				opts := core.Options{Machines: 2, Speed: 1, Observer: b.obs()}
 				if _, err := fast.RunWS(in, p, opts, ws); err != nil {
 					t.Fatal(err)
 				}
@@ -157,55 +147,55 @@ func TestObserverAllocBudget(t *testing.T) {
 	}
 }
 
-// --- observers vs RecordSegments ---------------------------------------------
+// --- observers vs a recorded timeline ----------------------------------------
 
 // segmentsN is the size TestSegmentsChurn and BenchmarkObserverVsSegments
 // run at.
 const segmentsN = 100_000
 
 // TestSegmentsChurn pins the memory claim behind the streaming observer
-// pipeline: with a StreamNorm attached, a steady run allocates nothing and
-// records no Segments on either engine, while recording Segments on the
-// reference engine churns at least 10× the heap the observer path does.
-// The observer path churns zero bytes, so its side of the ratio is clamped
-// to 1 MiB.
+// pipeline: with a StreamNorm attached, a steady run allocates nothing on
+// either engine, while a SegmentRecorder (which runs on the reference
+// engine) churns at least 10× the heap the observer path does there. The
+// observer path churns zero bytes, so its side of the ratio is clamped to
+// 1 MiB.
 func TestSegmentsChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records Segments for 10⁵ jobs; skipped under -short")
 	}
 	in := observeInstance(segmentsN)
-	sn := metrics.NewStreamNorm(1, 2, 3)
 	p := policy.NewRR()
 	// steady warms a workspace with one run of opts, then returns the heap
-	// bytes one more run allocates, that run's Segment count, and the run.
-	steady := func(opts core.Options) (uint64, int, func()) {
+	// bytes one more run allocates, and the run; reset precedes each run.
+	steady := func(opts core.Options, reset func()) (uint64, func()) {
 		ws := core.NewWorkspace()
-		run := func() *core.Result {
-			sn.Reset()
-			res, err := fast.RunWS(in, p, opts, ws)
-			if err != nil {
+		run := func() {
+			reset()
+			if _, err := fast.RunWS(in, p, opts, ws); err != nil {
 				t.Fatal(err)
 			}
-			return res
 		}
 		run()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		segments := len(run().Segments)
+		run()
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, segments, func() { run() }
+		return after.TotalAlloc - before.TotalAlloc, run
 	}
+	sn := metrics.NewStreamNorm(1, 2, 3)
 	var observed uint64
 	for _, eng := range []core.EngineKind{core.EngineFast, core.EngineReference} {
-		bytes, segments, run := steady(core.Options{Machines: 4, Speed: 1, Engine: eng, Observer: sn})
-		if allocs := testing.AllocsPerRun(3, run); allocs > 0 || segments > 0 {
-			t.Errorf("observer/%v: %v allocs/run and %d Segments in steady state, want none", eng, allocs, segments)
+		bytes, run := steady(core.Options{Machines: 4, Speed: 1, Engine: eng, Observer: sn}, sn.Reset)
+		if allocs := testing.AllocsPerRun(3, run); allocs > 0 {
+			t.Errorf("observer/%v: %v allocs/run in steady state, want none", eng, allocs)
 		}
 		if eng == core.EngineReference {
 			observed = bytes
 		}
 	}
-	recorded, segments, _ := steady(core.Options{Machines: 4, Speed: 1, RecordSegments: true})
+	rec := &core.SegmentRecorder{}
+	recorded, _ := steady(core.Options{Machines: 4, Speed: 1, Observer: rec}, func() { rec.Segments = nil })
+	segments := len(rec.Segments)
 	ratio := float64(recorded) / math.Max(1<<20, float64(observed))
 	t.Logf("n=%d: recording %d Segments churns %.1f MB, the observer path %d B on the same engine: %.0fx",
 		segmentsN, segments, float64(recorded)/1e6, observed, ratio)
@@ -236,14 +226,15 @@ func benchObservePath(b *testing.B, in *core.Instance, opts core.Options, reset 
 }
 
 // BenchmarkObserverVsSegments times the streaming observer pipeline
-// against Segment recording at n=10⁵. The segments leg necessarily runs
-// the reference engine — recording forces it — so observer/reference is
+// against a SegmentRecorder at n=10⁵. The segments leg necessarily runs
+// the reference engine — the recorder forces it — so observer/reference is
 // the apples-to-apples comparison and observer/fast is the full fast-path
 // win.
 func BenchmarkObserverVsSegments(b *testing.B) {
 	in := observeInstance(segmentsN)
+	rec := &core.SegmentRecorder{}
 	b.Run("segments/reference", func(b *testing.B) {
-		benchObservePath(b, in, core.Options{Machines: 4, Speed: 1, RecordSegments: true}, nil)
+		benchObservePath(b, in, core.Options{Machines: 4, Speed: 1, Observer: rec}, func() { rec.Segments = nil })
 	})
 	sn := metrics.NewStreamNorm(1, 2, 3)
 	b.Run("observer/reference", func(b *testing.B) {

@@ -58,9 +58,11 @@ func BenchmarkEngineRRMultiMachine(b *testing.B) { benchPolicy(b, "RR", 1000, 8)
 
 func BenchmarkEngineRRWithSegments(b *testing.B) {
 	in := benchInstance(1000)
-	opts := core.Options{Machines: 1, Speed: 1, RecordSegments: true}
+	rec := &core.SegmentRecorder{}
+	opts := core.Options{Machines: 1, Speed: 1, Observer: rec}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		rec.Segments = nil
 		if _, err := core.Run(in, policy.NewRR(), opts); err != nil {
 			b.Fatal(err)
 		}
@@ -145,13 +147,14 @@ func BenchmarkLPLowerBound(b *testing.B) {
 
 func BenchmarkDualCertificate(b *testing.B) {
 	in := benchInstance(300)
-	res, err := core.Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: dual.Eta(2, 0.05), RecordSegments: true})
+	var rec core.SegmentRecorder
+	res, err := core.Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: dual.Eta(2, 0.05), Observer: &rec})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dual.Build(res, 2, 0.05); err != nil {
+		if _, err := dual.Build(res, rec.Segments, 2, 0.05); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +210,7 @@ func BenchmarkQuantumRR(b *testing.B) {
 	}
 }
 
-// --- one benchmark per experiment (E1..E17) ----------------------------------
+// --- one benchmark per experiment (E1..E28) ----------------------------------
 //
 // These regenerate each table/figure of the evaluation (DESIGN.md §3) in
 // Quick mode; run `rrbench` for the full-size versions.

@@ -1,4 +1,4 @@
-// Command rrbench regenerates the experiment suite E1–E10 (the numerical
+// Command rrbench regenerates the experiment suite E1–E28 (the numerical
 // counterparts of the paper's claims — see DESIGN.md §3), rendering tables
 // to stdout and CSV series to -out.
 //
@@ -42,7 +42,7 @@ import (
 
 func main() {
 	var (
-		id         = flag.String("exp", "all", "experiment ID (E1..E19) or 'all'")
+		id         = flag.String("exp", "all", "experiment ID (E1..E28) or 'all'")
 		out        = flag.String("out", "", "directory for CSV output (empty = none)")
 		quick      = flag.Bool("quick", false, "reduced instance sizes and grids")
 		seed       = flag.Uint64("seed", 42, "workload RNG seed")
@@ -50,7 +50,6 @@ func main() {
 		parallel   = flag.Bool("parallel", false, "run experiments concurrently (results still print in order)")
 		workers    = flag.Int("workers", 0, "worker cap for -parallel (0 = GOMAXPROCS)")
 		engine     = flag.String("engine", "auto", "simulation engine: auto, reference or fast")
-		noSegments = flag.Bool("no-segments", false, "fail any experiment that records Segments: asserts the whole run went through the streaming observer pipeline")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write an allocation (heap) profile to this file on exit")
 		singleN    = flag.String("n", "", "single-run mode: simulate one Poisson workload of this many jobs (scientific notation ok, e.g. 1e7) and print wall time + ns/job")
@@ -73,7 +72,7 @@ func main() {
 		runSingle(*singleN, *polName, *machines, mm, *seed, eng, *sharded, *workers, *cpuprofile)
 		return
 	}
-	cfg := exp.Config{Seed: *seed, Quick: *quick, OutDir: *out, Engine: eng, ForbidSegments: *noSegments}
+	cfg := exp.Config{Seed: *seed, Quick: *quick, OutDir: *out, Engine: eng}
 
 	var exps []exp.Experiment
 	if *id == "all" {

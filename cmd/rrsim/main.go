@@ -116,12 +116,20 @@ func main() {
 	}
 	fmt.Fprintln(tw)
 	var last *core.Result
+	// -resultout writes the last run with its rate timeline, recorded by a
+	// SegmentRecorder (which routes the runs to the reference engine).
+	var rec *core.SegmentRecorder
 	for _, name := range names {
 		p, err := polspec.New(name)
 		if err != nil {
 			fatal(err)
 		}
-		res, err := fast.Run(in, p, core.Options{Machines: *m, Speed: *speed, MachineModel: mm, RecordSegments: *resOut != "", Engine: eng})
+		opts := core.Options{Machines: *m, Speed: *speed, MachineModel: mm, Engine: eng}
+		if *resOut != "" {
+			rec = &core.SegmentRecorder{}
+			opts.Observer = rec
+		}
+		res, err := fast.Run(in, p, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -143,7 +151,11 @@ func main() {
 		}
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", " ")
-		if err := enc.Encode(last); err != nil {
+		doc := struct {
+			*core.Result
+			Segments []core.Segment
+		}{last, rec.Segments}
+		if err := enc.Encode(doc); err != nil {
 			fatal(err)
 		}
 		f.Close()

@@ -131,11 +131,12 @@ func cmdMachines(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Run(in, p, core.Options{Machines: *m, Speed: *speed, RecordSegments: true})
+	var rec core.SegmentRecorder
+	res, err := core.Run(in, p, core.Options{Machines: *m, Speed: *speed, Observer: &rec})
 	if err != nil {
 		return err
 	}
-	machines, err := core.AssignMachines(res)
+	machines, err := core.AssignMachines(res, rec.Segments)
 	if err != nil {
 		return err
 	}
@@ -208,14 +209,12 @@ func cmdGantt(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Streaming chart: a GanttObserver folds each epoch into fixed-width
-	// buckets as the run unfolds (O(jobs·width) memory), instead of
-	// recording the full Segment timeline and rendering it afterwards.
-	g := core.NewGanttObserver(*width)
-	if _, err := core.Run(in, p, core.Options{Machines: *m, Speed: *speed, Observer: g}); err != nil {
+	var rec core.SegmentRecorder
+	res, err := core.Run(in, p, core.Options{Machines: *m, Speed: *speed, Observer: &rec})
+	if err != nil {
 		return err
 	}
-	fmt.Print(g.Render())
+	fmt.Print(core.RenderGantt(res, rec.Segments, *width))
 	return nil
 }
 

@@ -31,13 +31,15 @@ func main() {
 	fmt.Println("--- at the theorem speed ---")
 	fmt.Println(cert)
 
-	// The same dual construction on an unaugmented RR schedule.
+	// The same dual construction on an unaugmented RR schedule, built from
+	// its recorded rate timeline.
+	var rec rrnorm.SegmentRecorder
 	res, err := rrnorm.SimulateWith(in, policy.NewRR(),
-		rrnorm.Options{Machines: 1, Speed: 1, RecordSegments: true})
+		rrnorm.Options{Machines: 1, Speed: 1, Observer: &rec})
 	if err != nil {
 		log.Fatal(err)
 	}
-	slow, err := dual.Build(res, k, eps)
+	slow, err := dual.Build(res, rec.Segments, k, eps)
 	if err != nil {
 		log.Fatal(err)
 	}

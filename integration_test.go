@@ -113,14 +113,15 @@ func TestFullPipeline(t *testing.T) {
 	const k = 2
 	const eps = 0.05
 
-	res, err := rrnorm.Simulate(in, "RR", rrnorm.Options{Machines: 2, Speed: dual.Eta(k, eps), RecordSegments: true})
+	var rec rrnorm.SegmentRecorder
+	res, err := rrnorm.Simulate(in, "RR", rrnorm.Options{Machines: 2, Speed: dual.Eta(k, eps), Observer: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.ValidateResult(res); err != nil {
+	if err := core.ValidateResult(res, rec.Segments); err != nil {
 		t.Fatal(err)
 	}
-	ff, err := core.FractionalFlows(res)
+	ff, err := core.FractionalFlows(res, rec.Segments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := dual.Build(res, k, eps)
+	cert, err := dual.Build(res, rec.Segments, k, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,12 @@ func TestFullPipeline(t *testing.T) {
 // TestGanttOnRealSchedule smoke-tests the renderer against a sizable run.
 func TestGanttOnRealSchedule(t *testing.T) {
 	in := rrnorm.FromSpecMust("bursts:bursts=3,size=4,period=8", 1)
-	res, err := rrnorm.Simulate(in, "SRPT", rrnorm.Options{Machines: 2, Speed: 1, RecordSegments: true})
+	var rec rrnorm.SegmentRecorder
+	res, err := rrnorm.Simulate(in, "SRPT", rrnorm.Options{Machines: 2, Speed: 1, Observer: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := core.RenderGantt(res, 72)
+	out := core.RenderGantt(res, rec.Segments, 72)
 	if len(out) == 0 || out == "(empty schedule)\n" {
 		t.Fatal("gantt empty")
 	}

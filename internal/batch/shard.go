@@ -117,9 +117,6 @@ func RunSharded(ctx context.Context, in *core.Instance, policyName string, opts 
 	if opts.Observer != nil {
 		return nil, fmt.Errorf("%w: sharded runs take per-shard observers via obsFor, not Options.Observer", core.ErrBadOptions)
 	}
-	if opts.RecordSegments {
-		return nil, fmt.Errorf("%w: RecordSegments requires a single-schedule run", core.ErrBadOptions)
-	}
 	if ws == nil {
 		ws = core.NewWorkspace()
 	}

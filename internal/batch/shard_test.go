@@ -168,9 +168,9 @@ func TestShardedRejects(t *testing.T) {
 		t.Fatalf("Options.Observer: err=%v, want ErrBadOptions", err)
 	}
 	bad = good
-	bad.RecordSegments = true
+	bad.Observer = &core.SegmentRecorder{}
 	if _, err := RunSharded(context.Background(), in, "SRPT", bad, 1, nil, nil); !errors.Is(err, core.ErrBadOptions) {
-		t.Fatalf("RecordSegments: err=%v, want ErrBadOptions", err)
+		t.Fatalf("SegmentRecorder: err=%v, want ErrBadOptions", err)
 	}
 }
 

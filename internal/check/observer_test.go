@@ -20,8 +20,8 @@ import (
 // post-processing it replaced at 1e-6, on both engines.
 //
 // The Segment-derived values necessarily come from the reference engine
-// (recording forces it), so the fast-engine leg doubles as a cross-engine
-// check of the aggregate epochs the fast paths emit.
+// (a SegmentRecorder forces it), so the fast-engine leg doubles as a
+// cross-engine check of the aggregate epochs the fast paths emit.
 func TestObserversAgreeWithSegments(t *testing.T) {
 	const seeds = 1200
 	const tol = 1e-6
@@ -37,9 +37,10 @@ func TestObserversAgreeWithSegments(t *testing.T) {
 		p := pols[int(seed)%len(pols)] // one policy per seed bounds the cost
 
 		// Segment-derived ground truth.
+		var rec core.SegmentRecorder
 		ro := opts
 		ro.Engine = core.EngineReference
-		ro.RecordSegments = true
+		ro.Observer = &rec
 		ref, err := core.Run(in, p, ro)
 		if err != nil {
 			t.Fatalf("seed %d: recorded run: %v", seed, err)
@@ -48,7 +49,7 @@ func TestObserversAgreeWithSegments(t *testing.T) {
 		for i, k := range ks {
 			wantNorm[i] = metrics.LkNorm(ref.Flow, k)
 		}
-		wantTS := core.ComputeTimeStats(ref)
+		wantTS := core.ComputeTimeStats(ref, rec.Segments)
 
 		for _, eng := range []core.EngineKind{core.EngineReference, core.EngineFast} {
 			sn := metrics.NewStreamNorm(ks...)
@@ -81,22 +82,17 @@ func TestObserversAgreeWithSegments(t *testing.T) {
 		// run (the certificate is RR's; the witness needs per-job epochs so
 		// the engine dispatcher routes it to the reference engine itself).
 		const k, eps = 2, 0.05
-		rr := policy.NewRR()
+		// Empty and all-degenerate instances record no segments; Build
+		// accepts their empty timeline as the witness does.
+		var rrec core.SegmentRecorder
 		dro := opts
 		dro.Engine = core.EngineReference
-		dro.RecordSegments = true
-		rres, err := core.Run(in, rr, dro)
+		dro.Observer = &rrec
+		rres, err := core.Run(in, policy.NewRR(), dro)
 		if err != nil {
 			t.Fatalf("seed %d: recorded RR run: %v", seed, err)
 		}
-		if len(rres.Segments) == 0 {
-			// Empty or all-degenerate instances record no segments at all;
-			// dual.Build refuses them while the streaming witness still
-			// produces its (trivially feasible) certificate — nothing to
-			// diff against.
-			continue
-		}
-		want, err := dual.Build(rres, k, eps)
+		want, err := dual.Build(rres, rrec.Segments, k, eps)
 		if err != nil {
 			t.Fatalf("seed %d: dual.Build: %v", seed, err)
 		}

@@ -17,24 +17,24 @@ type MachineSchedule struct {
 	Slices  []Slice
 }
 
-// AssignMachines converts the rate-based schedule into an explicit
-// per-machine preemptive schedule using McNaughton's wrap-around rule
+// AssignMachines converts the rate timeline segs (recorded by a
+// SegmentRecorder) into an explicit per-machine preemptive schedule using McNaughton's wrap-around rule
 // within each segment: a segment of length Δ gives job i an amount
 // a_i = rate_i·Δ ≤ Δ with Σ a_i ≤ m·Δ, which always packs into m machines
 // with no job running on two machines at once. This is the constructive
 // proof that every simulated rate profile is realizable on real machines —
 // and the basis for exporting concrete schedules.
-func AssignMachines(res *Result) ([]MachineSchedule, error) {
-	if len(res.Segments) == 0 && len(res.Jobs) > 0 {
-		return nil, fmt.Errorf("core: AssignMachines needs segments (run with RecordSegments)")
+func AssignMachines(res *Result, segs []Segment) ([]MachineSchedule, error) {
+	if TimelineMissing(res, segs) {
+		return nil, fmt.Errorf("core: AssignMachines needs segments (attach a SegmentRecorder)")
 	}
 	machines := make([]MachineSchedule, res.Machines)
 	for i := range machines {
 		machines[i].Machine = i
 	}
 	const tol = 1e-9
-	for si := range res.Segments {
-		seg := &res.Segments[si]
+	for si := range segs {
+		seg := &segs[si]
 		Δ := seg.Duration()
 		if Δ <= 0 {
 			continue

@@ -7,8 +7,8 @@ import (
 
 func TestAssignSingleJob(t *testing.T) {
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 2}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
-	ms, err := AssignMachines(res)
+	res, segs := mustRecord(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
+	ms, err := AssignMachines(res, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +28,8 @@ func TestAssignWrapAround(t *testing.T) {
 		{ID: 1, Release: 0, Size: 2},
 		{ID: 2, Release: 0, Size: 2},
 	})
-	opts := DefaultOptions()
-	opts.Machines = 2
-	res := mustRun(t, in, eqPolicy{}, opts)
-	ms, err := AssignMachines(res)
+	res, segs := mustRecord(t, in, eqPolicy{}, Options{Machines: 2, Speed: 1})
+	ms, err := AssignMachines(res, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +43,17 @@ func TestAssignWrapAround(t *testing.T) {
 }
 
 func TestAssignNeedsSegments(t *testing.T) {
-	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}})
-	opts := DefaultOptions()
-	opts.RecordSegments = false
-	res := mustRun(t, in, eqPolicy{}, opts)
-	if _, err := AssignMachines(res); err == nil {
-		t.Fatal("expected error without segments")
+	for _, row := range timelineRows(t) {
+		ms, err := AssignMachines(row.res, row.segs)
+		if (err != nil) != row.missing {
+			t.Errorf("%s: AssignMachines error %v, want missing=%v", row.name, err, row.missing)
+			continue
+		}
+		if err == nil {
+			if err := ValidateAssignment(row.res, ms); err != nil {
+				t.Errorf("%s: %v", row.name, err)
+			}
+		}
 	}
 }
 
@@ -61,13 +64,10 @@ func TestAssignRandomSchedules(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	for trial := 0; trial < 40; trial++ {
 		in := randomInstance(rng, 2+rng.IntN(25))
-		opts := Options{Machines: 1 + rng.IntN(4), Speed: 0.5 + 2*rng.Float64(), RecordSegments: true}
+		opts := Options{Machines: 1 + rng.IntN(4), Speed: 0.5 + 2*rng.Float64()}
 		for _, p := range []Policy{eqPolicy{}, onePolicy{}} {
-			res, err := Run(in, p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms, err := AssignMachines(res)
+			res, segs := mustRecord(t, in, p, opts)
+			ms, err := AssignMachines(res, segs)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, p.Name(), err)
 			}

@@ -15,8 +15,8 @@ type EngineKind int
 
 const (
 	// EngineAuto uses the event-driven fast engine (internal/fast) when the
-	// policy has a fast path and the options allow it (no segment
-	// recording), falling back to the reference engine otherwise.
+	// policy has a fast path and the options allow it (no observer that
+	// needs per-job epochs), falling back to the reference engine otherwise.
 	EngineAuto EngineKind = iota
 	// EngineReference forces the step-by-step reference engine (Run).
 	EngineReference
@@ -69,9 +69,6 @@ type Options struct {
 	// work rates bounded by the sorted-speed prefix sums instead of [0,1]
 	// machine shares. See Machines.
 	MachineModel Machines
-	// RecordSegments enables the full piecewise-constant rate timeline,
-	// needed by the dual-fitting certificate and schedule validation.
-	RecordSegments bool
 	// MaxEvents bounds the number of engine steps; 0 means a generous
 	// default derived from the instance size.
 	MaxEvents int
@@ -86,25 +83,20 @@ type Options struct {
 	// for adversarially large instances. Nil means never canceled.
 	Context context.Context
 	// Observer, when non-nil, receives the run's event stream (arrivals,
-	// rate-constant epochs, completions, end-of-run) as it is produced —
-	// the single-pass alternative to post-processing Result.Segments. Both
-	// engines emit it; fast paths deliver aggregate-only epochs, and an
-	// observer whose ObserverNeedsJobEpochs answers true routes dispatch to
-	// the reference engine (like RecordSegments). Use Multi to attach
-	// several. See Observer for the callback contract.
+	// rate-constant epochs, completions, end-of-run) as it is produced.
+	// Both engines emit it; fast paths deliver aggregate-only epochs, and
+	// an observer whose ObserverNeedsJobEpochs answers true routes dispatch
+	// to the reference engine. A SegmentRecorder records the full rate
+	// timeline. Use Multi to attach several. See Observer for the callback
+	// contract.
 	Observer Observer
 }
 
-// DefaultOptions returns single-machine, speed-1 options with segment
-// recording enabled.
-func DefaultOptions() Options {
-	return Options{Machines: 1, Speed: 1, RecordSegments: true}
-}
-
 // Segment is a maximal interval [Start, End) during which the alive-job set
-// and all rates are constant. Jobs holds instance indices (positions in
-// Instance.Jobs) ordered by (Release, ID); Rates holds the policy's machine
-// shares (pre-speed) aligned with Jobs.
+// and all rates are constant — one recorded Epoch (see SegmentRecorder).
+// Jobs holds instance indices (positions in Result.Jobs) ordered by
+// (Release, ID); Rates holds the policy's machine shares (pre-speed)
+// aligned with Jobs.
 type Segment struct {
 	Start, End float64
 	Jobs       []int
@@ -130,8 +122,6 @@ type Result struct {
 	// Completion and Flow are indexed by position in Jobs.
 	Completion []float64
 	Flow       []float64
-	// Segments is the rate timeline (only when Options.RecordSegments).
-	Segments []Segment
 	// Events counts engine steps (arrivals, completions, policy reviews).
 	Events int
 }
@@ -253,8 +243,7 @@ func RunWS(inst *Instance, policy Policy, opts Options, ws *Workspace) (*Result,
 // RunStream simulates policy over a JobSource without materializing it: the
 // engine holds only the alive set plus a one-job lookahead, per-job outputs
 // flow through opts.Observer, and the aggregate outcome comes back as a
-// StreamResult. RecordSegments is rejected (a full rate timeline is a
-// materialization); observers needing per-job epochs are fine — this is the
+// StreamResult. Observers needing per-job epochs are fine — this is the
 // reference engine. ws follows the same reuse rules as RunWS; ws == nil
 // allocates a private workspace.
 func RunStream(src JobSource, policy Policy, opts Options, ws *Workspace) (StreamResult, error) {
@@ -266,9 +255,6 @@ func RunStream(src JobSource, policy Policy, opts Options, ws *Workspace) (Strea
 	}
 	if err := ValidateMachineOptions(policy, opts); err != nil {
 		return StreamResult{}, err
-	}
-	if opts.RecordSegments {
-		return StreamResult{}, fmt.Errorf("%w: RecordSegments requires a materialized run (core.Run)", ErrBadOptions)
 	}
 	if ws == nil {
 		ws = NewWorkspace()
@@ -457,15 +443,6 @@ func runReference(cur *Cursor, policy Policy, opts Options, ws *Workspace, res *
 		}
 
 		end := now + dt
-		if opts.RecordSegments {
-			seg := Segment{
-				Start: now,
-				End:   end,
-				Jobs:  append([]int(nil), st.aliveSeq...),
-				Rates: append([]float64(nil), rates[:len(st.aliveSeq)]...),
-			}
-			res.Segments = append(res.Segments, seg)
-		}
 		if obs != nil {
 			// The epoch lives on the workspace so its address reaching the
 			// interface call allocates nothing; its slices alias the

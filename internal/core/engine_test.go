@@ -54,16 +54,52 @@ func mustRun(t *testing.T, in *Instance, p Policy, opts Options) *Result {
 	return res
 }
 
+// mustRecord is mustRun with a SegmentRecorder attached after
+// opts.Observer; it returns the result and the recorded rate timeline.
+func mustRecord(t *testing.T, in *Instance, p Policy, opts Options) (*Result, []Segment) {
+	t.Helper()
+	var rec SegmentRecorder
+	opts.Observer = Multi(opts.Observer, &rec)
+	return mustRun(t, in, p, opts), rec.Segments
+}
+
+// timelineRow is one side of TimelineMissing for the timeline readers'
+// tests: res with the timeline segs a reader is handed, and whether the
+// reader must refuse it as missing.
+type timelineRow struct {
+	name    string
+	res     *Result
+	segs    []Segment
+	missing bool
+}
+
+// timelineRows returns a job that needs work handed no timeline (refused)
+// and a run of two zero-size jobs, which complete at admission and so
+// record no segments at all (accepted: the empty timeline is complete).
+func timelineRows(t *testing.T) []timelineRow {
+	t.Helper()
+	opts := Options{Machines: 1, Speed: 1}
+	work := mustRun(t, NewInstance([]Job{{ID: 0, Release: 0, Size: 1}}), eqPolicy{}, opts)
+	zero, segs := mustRecord(t, NewInstance([]Job{{ID: 0, Release: 0}, {ID: 1, Release: 1}}), eqPolicy{}, opts)
+	if len(segs) != 0 {
+		t.Fatalf("zero-size jobs recorded %d segments, want none", len(segs))
+	}
+	return []timelineRow{
+		{"work without timeline", work, nil, true},
+		{"two zero-size jobs", zero, segs, false},
+	}
+}
+
 func TestSingleJob(t *testing.T) {
 	in := NewInstance([]Job{{ID: 1, Release: 2, Size: 5}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
+	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	approx(t, res.Completion[0], 7, 1e-9, "completion")
 	approx(t, res.Flow[0], 5, 1e-9, "flow")
 }
 
 func TestSingleJobWithSpeed(t *testing.T) {
 	in := NewInstance([]Job{{ID: 1, Release: 2, Size: 5}})
-	opts := DefaultOptions()
+	opts := Options{Machines: 1, Speed: 1}
 	opts.Speed = 2.5
 	res := mustRun(t, in, eqPolicy{}, opts)
 	approx(t, res.Flow[0], 2, 1e-9, "flow at speed 2.5")
@@ -73,7 +109,7 @@ func TestRoundRobinTwoEqualJobs(t *testing.T) {
 	// Two size-2 jobs at time 0 on one machine: each gets rate 1/2, both
 	// complete at time 4.
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 2}, {ID: 1, Release: 0, Size: 2}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
+	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	approx(t, res.Completion[0], 4, 1e-9, "job 0 completion")
 	approx(t, res.Completion[1], 4, 1e-9, "job 1 completion")
 }
@@ -84,7 +120,7 @@ func TestRoundRobinStaggered(t *testing.T) {
 	// units of wall time. At t=3 both A and B have received 1 in the shared
 	// phase; A has 2 total → both complete at t=3.
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 2}, {ID: 1, Release: 1, Size: 1}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
+	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	approx(t, res.Completion[0], 3, 1e-9, "A completion")
 	approx(t, res.Completion[1], 3, 1e-9, "B completion")
 	approx(t, res.Flow[1], 2, 1e-9, "B flow")
@@ -97,7 +133,7 @@ func TestMultiMachineUnderloaded(t *testing.T) {
 		{ID: 1, Release: 0, Size: 1},
 		{ID: 2, Release: 0.5, Size: 2},
 	})
-	opts := DefaultOptions()
+	opts := Options{Machines: 1, Speed: 1}
 	opts.Machines = 4
 	res := mustRun(t, in, eqPolicy{}, opts)
 	approx(t, res.Completion[0], 3, 1e-9, "job 0")
@@ -113,7 +149,7 @@ func TestMultiMachineOverloaded(t *testing.T) {
 		jobs[i] = Job{ID: i, Release: 0, Size: 1}
 	}
 	in := NewInstance(jobs)
-	opts := DefaultOptions()
+	opts := Options{Machines: 1, Speed: 1}
 	opts.Machines = 2
 	res := mustRun(t, in, eqPolicy{}, opts)
 	for i := range jobs {
@@ -123,7 +159,7 @@ func TestMultiMachineOverloaded(t *testing.T) {
 
 func TestIdleGapBetweenArrivals(t *testing.T) {
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}, {ID: 1, Release: 10, Size: 1}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
+	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	approx(t, res.Completion[0], 1, 1e-9, "job 0")
 	approx(t, res.Completion[1], 11, 1e-9, "job 1")
 }
@@ -133,7 +169,7 @@ func TestFCFSOrdering(t *testing.T) {
 		{ID: 0, Release: 0, Size: 2},
 		{ID: 1, Release: 0.5, Size: 2},
 	})
-	res := mustRun(t, in, onePolicy{}, DefaultOptions())
+	res := mustRun(t, in, onePolicy{}, Options{Machines: 1, Speed: 1})
 	approx(t, res.Completion[0], 2, 1e-9, "job 0")
 	approx(t, res.Completion[1], 4, 1e-9, "job 1")
 }
@@ -170,7 +206,7 @@ func TestZeroSizeJobCompletesAtAdmission(t *testing.T) {
 	if err := in.Validate(); err != nil {
 		t.Fatalf("zero-size instance should validate: %v", err)
 	}
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
+	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	// Job 0 must be completely unaffected by the zero-size jobs.
 	approx(t, res.Completion[0], 4, 1e-9, "job 0 completion")
 	approx(t, res.Flow[1], 0, 1e-9, "zero-size flow at t=1")
@@ -191,7 +227,7 @@ func TestSubToleranceSizeJob(t *testing.T) {
 		{ID: 0, Release: 0, Size: 2},
 		{ID: 1, Release: 0.5, Size: tiny},
 	})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
+	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	approx(t, res.Completion[0], 2, 1e-9, "normal job unaffected")
 	approx(t, res.Completion[1], 0.5, 1e-9, "tiny job completes at release")
 	if res.Events > 10 {
@@ -213,12 +249,12 @@ func TestIdenticalReleaseBatch(t *testing.T) {
 			t.Fatalf("normalize should order identical releases by ID: %v", in.Jobs)
 		}
 	}
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
+	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	for i := range in.Jobs {
 		// Equal sharing of 5 unit jobs on one machine: all complete at 1+5.
 		approx(t, res.Completion[i], 6, 1e-9, "batch completion")
 	}
-	res2 := mustRun(t, in, onePolicy{}, DefaultOptions())
+	res2 := mustRun(t, in, onePolicy{}, Options{Machines: 1, Speed: 1})
 	for i := range in.Jobs {
 		// One at a time in ID order: job i completes at 1+(i+1).
 		approx(t, res2.Completion[i], 2+float64(i), 1e-9, "serial batch completion")
@@ -260,7 +296,7 @@ func (zeroPolicy) Rates(now float64, jobs []JobView, m int, speed float64, rates
 
 func TestStarvationDetected(t *testing.T) {
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}})
-	if _, err := Run(in, zeroPolicy{}, DefaultOptions()); !errors.Is(err, ErrStarvation) {
+	if _, err := Run(in, zeroPolicy{}, Options{Machines: 1, Speed: 1}); !errors.Is(err, ErrStarvation) {
 		t.Errorf("want ErrStarvation, got %v", err)
 	}
 }
@@ -278,7 +314,7 @@ func (overPolicy) Rates(now float64, jobs []JobView, m int, speed float64, rates
 
 func TestInfeasibleRatesDetected(t *testing.T) {
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}, {ID: 1, Release: 0, Size: 1}})
-	if _, err := Run(in, overPolicy{}, DefaultOptions()); !errors.Is(err, ErrBadRates) {
+	if _, err := Run(in, overPolicy{}, Options{Machines: 1, Speed: 1}); !errors.Is(err, ErrBadRates) {
 		t.Errorf("want ErrBadRates, got %v", err)
 	}
 }
@@ -294,7 +330,7 @@ func (tinyHorizonPolicy) Rates(now float64, jobs []JobView, m int, speed float64
 
 func TestEventBudgetEnforced(t *testing.T) {
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}})
-	opts := DefaultOptions()
+	opts := Options{Machines: 1, Speed: 1}
 	opts.MaxEvents = 100
 	if _, err := Run(in, tinyHorizonPolicy{}, opts); !errors.Is(err, ErrEventOverrun) {
 		t.Errorf("want ErrEventOverrun, got %v", err)
@@ -302,7 +338,7 @@ func TestEventBudgetEnforced(t *testing.T) {
 }
 
 func TestEmptyInstance(t *testing.T) {
-	res := mustRun(t, NewInstance(nil), eqPolicy{}, DefaultOptions())
+	res := mustRun(t, NewInstance(nil), eqPolicy{}, Options{Machines: 1, Speed: 1})
 	if len(res.Flow) != 0 || res.Events != 0 {
 		t.Fatalf("empty instance should be a no-op, got %+v", res)
 	}
@@ -310,35 +346,34 @@ func TestEmptyInstance(t *testing.T) {
 
 func TestSegmentsRecorded(t *testing.T) {
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 2}, {ID: 1, Release: 1, Size: 1}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
-	if len(res.Segments) == 0 {
+	res, segs := mustRecord(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
+	if len(segs) == 0 {
 		t.Fatal("no segments recorded")
 	}
-	if err := ValidateResult(res); err != nil {
+	if err := ValidateResult(res, segs); err != nil {
 		t.Fatalf("ValidateResult: %v", err)
 	}
 	// First segment: only job 0 alive.
-	s0 := res.Segments[0]
+	s0 := segs[0]
 	if len(s0.Jobs) != 1 || s0.Jobs[0] != 0 {
 		t.Fatalf("first segment should contain only job 0: %+v", s0)
 	}
 }
 
-func TestNoSegmentsWhenDisabled(t *testing.T) {
-	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}})
-	opts := DefaultOptions()
-	opts.RecordSegments = false
-	res := mustRun(t, in, eqPolicy{}, opts)
-	if len(res.Segments) != 0 {
-		t.Fatalf("segments recorded despite RecordSegments=false")
+func TestValidateNeedsSegments(t *testing.T) {
+	for _, row := range timelineRows(t) {
+		err := ValidateResult(row.res, row.segs)
+		if (err != nil) != row.missing {
+			t.Errorf("%s: ValidateResult = %v, want missing=%v", row.name, err, row.missing)
+		}
 	}
 }
 
 func TestResetterCalled(t *testing.T) {
 	p := &resettingPolicy{}
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}})
-	mustRun(t, in, p, DefaultOptions())
-	mustRun(t, in, p, DefaultOptions())
+	mustRun(t, in, p, Options{Machines: 1, Speed: 1})
+	mustRun(t, in, p, Options{Machines: 1, Speed: 1})
 	if p.resets != 2 {
 		t.Fatalf("Reset called %d times, want 2", p.resets)
 	}
@@ -376,13 +411,10 @@ func TestPropertyScheduleInvariants(t *testing.T) {
 		in := randomInstance(rng, n)
 		m := 1 + rng.IntN(4)
 		speed := 1 + rng.Float64()*3
-		opts := Options{Machines: m, Speed: speed, RecordSegments: true}
+		opts := Options{Machines: m, Speed: speed}
 		for _, p := range []Policy{eqPolicy{}, onePolicy{}} {
-			res, err := Run(in, p, opts)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if err := ValidateResult(res); err != nil {
+			res, segs := mustRecord(t, in, p, opts)
+			if err := ValidateResult(res, segs); err != nil {
 				t.Fatalf("trial %d (%s, m=%d, s=%v): %v", trial, p.Name(), m, speed, err)
 			}
 			for i, j := range res.Jobs {
@@ -398,7 +430,7 @@ func TestPropertyScheduleInvariants(t *testing.T) {
 
 func TestFlowByID(t *testing.T) {
 	in := NewInstance([]Job{{ID: 7, Release: 0, Size: 1}, {ID: 3, Release: 1, Size: 2}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
+	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	m := res.FlowByID()
 	if len(m) != 2 {
 		t.Fatalf("want 2 entries, got %v", m)

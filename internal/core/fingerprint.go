@@ -31,11 +31,9 @@ func Fingerprint(in *Instance, policyName string, opts Options) string {
 	u64(uint64(int64(opts.Machines)))
 	f64(opts.Speed)
 	u64(uint64(int64(opts.Engine)))
-	if opts.RecordSegments {
-		u64(1)
-	} else {
-		u64(0)
-	}
+	// This word held a segment-recording flag, since removed; writing the
+	// zero it read when unset keeps every key byte-identical.
+	u64(0)
 	// Machine-model bits are appended only for non-default models, so every
 	// fingerprint ever computed for the paper's setting is unchanged (cached
 	// entries and goldens survive the model's introduction). Speeds hash in

@@ -9,20 +9,21 @@ import (
 // ganttShades maps a rate in [0,1] to a glyph, light to dark.
 var ganttShades = []rune{'·', '░', '▒', '▓', '█'}
 
-// RenderGantt draws the recorded schedule as an ASCII chart: one row per
-// job, one column per time bucket, glyph darkness ∝ the job's average rate
+// RenderGantt draws a run's rate timeline segs (recorded by a
+// SegmentRecorder) as an ASCII chart: one row per job, one column per time
+// bucket, glyph darkness ∝ the job's average rate
 // in that bucket ('·' idle-but-alive through '█' a full machine). Released
 // and completed regions are blank. Useful for eyeballing how RR's equal
 // sharing differs from SRPT's focus.
-func RenderGantt(res *Result, width int) string {
+func RenderGantt(res *Result, segs []Segment, width int) string {
 	n := len(res.Jobs)
-	if n == 0 || len(res.Segments) == 0 {
+	if n == 0 || len(segs) == 0 {
 		return "(empty schedule)\n"
 	}
 	if width < 10 {
 		width = 60
 	}
-	start := res.Segments[0].Start
+	start := segs[0].Start
 	end := res.Makespan()
 	if end <= start {
 		end = start + 1
@@ -47,8 +48,8 @@ func RenderGantt(res *Result, width int) string {
 	for i := range alive {
 		alive[i] = make([]bool, width)
 	}
-	for si := range res.Segments {
-		seg := &res.Segments[si]
+	for si := range segs {
+		seg := &segs[si]
 		for k, idx := range seg.Jobs {
 			rate := seg.Rates[k]
 			// Spread the segment across the buckets it overlaps.

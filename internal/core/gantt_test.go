@@ -16,9 +16,9 @@ func TestRenderGanttSingleInstant(t *testing.T) {
 		Jobs:       []Job{{ID: 7, Release: big, Size: 1e-14}},
 		Completion: []float64{big},
 		Flow:       []float64{0},
-		Segments:   []Segment{{Start: big, End: big, Jobs: []int{0}, Rates: []float64{1}}},
 	}
-	out := RenderGantt(res, 40)
+	segs := []Segment{{Start: big, End: big, Jobs: []int{0}, Rates: []float64{1}}}
+	out := RenderGantt(res, segs, 40)
 	if !strings.Contains(out, "single-instant") {
 		t.Fatalf("single-instant schedule not flagged:\n%s", out)
 	}
@@ -36,11 +36,11 @@ func TestRenderGanttSingleInstantEngine(t *testing.T) {
 		{ID: 1, Release: big, Size: 1e-13},
 		{ID: 2, Release: big, Size: 1e-13},
 	})
-	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, RecordSegments: true})
+	res, segs := mustRecord(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	if mk := res.Makespan(); mk != big {
 		t.Fatalf("expected single-instant schedule, makespan %v", mk)
 	}
-	out := RenderGantt(res, 40) // must not panic
+	out := RenderGantt(res, segs, 40) // must not panic
 	if !strings.Contains(out, "single-instant") {
 		t.Fatalf("single-instant schedule not flagged:\n%s", out)
 	}
@@ -48,8 +48,8 @@ func TestRenderGanttSingleInstantEngine(t *testing.T) {
 
 func TestRenderGanttBasic(t *testing.T) {
 	in := observerInstance()
-	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, RecordSegments: true})
-	out := RenderGantt(res, 40)
+	res, segs := mustRecord(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
+	out := RenderGantt(res, segs, 40)
 	for _, id := range []string{"    1 │", "    2 │", "    3 │", "    4 │"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("missing row %q in:\n%s", id, out)
@@ -57,14 +57,21 @@ func TestRenderGanttBasic(t *testing.T) {
 	}
 }
 
-func TestGanttObserverRendersAllJobs(t *testing.T) {
-	in := observerInstance()
-	g := NewGanttObserver(40)
-	if !ObserverNeedsJobEpochs(g) {
-		t.Fatal("GanttObserver must need job epochs")
+// recordedGantt draws a chart the way rrtrace gantt does: a SegmentRecorder
+// attached as the run's only observer, then RenderGantt over the timeline
+// it recorded.
+func recordedGantt(t *testing.T, in *Instance, width int) string {
+	t.Helper()
+	var rec SegmentRecorder
+	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, Observer: &rec})
+	return RenderGantt(res, rec.Segments, width)
+}
+
+func TestRenderGanttRecordedRun(t *testing.T) {
+	if !ObserverNeedsJobEpochs(&SegmentRecorder{}) {
+		t.Fatal("SegmentRecorder must need job epochs")
 	}
-	mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, Observer: g})
-	out := g.Render()
+	out := recordedGantt(t, observerInstance(), 40)
 	for _, id := range []string{"    1 │", "    2 │", "    3 │", "    4 │"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("missing row %q in:\n%s", id, out)
@@ -80,47 +87,16 @@ func TestGanttObserverRendersAllJobs(t *testing.T) {
 	}
 }
 
-func TestGanttObserverSingleInstant(t *testing.T) {
+func TestRenderGanttSingleInstantRecorded(t *testing.T) {
 	const big = 1e16
-	in := NewInstance([]Job{{ID: 1, Release: big, Size: 1e-13}})
-	g := NewGanttObserver(40)
-	mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, Observer: g})
-	out := g.Render()
+	out := recordedGantt(t, NewInstance([]Job{{ID: 1, Release: big, Size: 1e-13}}), 40)
 	if !strings.Contains(out, "single-instant") {
 		t.Fatalf("single-instant schedule not flagged:\n%s", out)
 	}
 }
 
-func TestGanttObserverEmpty(t *testing.T) {
-	g := NewGanttObserver(40)
-	mustRun(t, NewInstance(nil), eqPolicy{}, Options{Machines: 1, Speed: 1, Observer: g})
-	if out := g.Render(); out != "(empty schedule)\n" {
+func TestRenderGanttEmptyRun(t *testing.T) {
+	if out := recordedGantt(t, NewInstance(nil), 40); out != "(empty schedule)\n" {
 		t.Fatalf("empty render = %q", out)
-	}
-}
-
-// TestGanttObserverDoubling forces many bucket doublings (a long tail job
-// after a dense prefix) and checks the accumulated area is conserved: the
-// summed shaded area equals the machine time the schedule consumed.
-func TestGanttObserverDoubling(t *testing.T) {
-	jobs := []Job{{ID: 0, Release: 0, Size: 0.001}}
-	jobs = append(jobs, Job{ID: 1, Release: 0, Size: 1000})
-	in := NewInstance(jobs)
-	g := NewGanttObserver(16)
-	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, Observer: g})
-	var area float64
-	for i := range g.acc {
-		for _, a := range g.acc[i] {
-			area += a
-		}
-	}
-	var work float64
-	for _, j := range res.Jobs {
-		work += j.Size
-	}
-	approx(t, area, work, 1e-6*work, "conserved rate·time area across doublings")
-	out := g.Render()
-	if !strings.Contains(out, "    1 │") {
-		t.Fatalf("missing tail job row:\n%s", out)
 	}
 }

@@ -1,15 +1,14 @@
 package core
 
 // Observer receives a simulation's event stream as it is produced, so
-// consumers that today post-process the materialized Result.Segments
-// timeline (ℓk-norm accumulation, time-average statistics, dual-fitting
-// witnesses, Gantt rendering, tracing) can instead reduce the schedule in
-// a single pass with O(alive jobs) state — the memory bound that makes
-// n=10⁶ sweeps feasible without Options.RecordSegments.
+// consumers (ℓk-norm accumulation, time-average statistics, dual-fitting
+// witnesses, tracing) reduce the schedule in a single pass with O(alive
+// jobs) state — the memory bound that makes n=10⁶ sweeps feasible. The one
+// observer that keeps the whole rate timeline is SegmentRecorder, whose
+// Segments the timeline readers (ValidateResult, RenderGantt, ...) take.
 //
-// Both engines emit the callbacks at exactly the points where the
-// reference engine records Segments (DESIGN.md §13 specifies the
-// contract precisely):
+// Both engines emit the callbacks at the same points of the schedule
+// (DESIGN.md §13 specifies the contract precisely):
 //
 //   - ObserveArrival fires once per job, in normalized (Release, ID)
 //     order, at the instant the job is admitted — t equals the job's
@@ -71,8 +70,7 @@ type Observer interface {
 type Epoch struct {
 	// Start and End bound the interval. End ≥ Start; End == Start occurs
 	// only in the reference engine at magnitudes where float64 cannot
-	// advance time (parity with the Segments it records there) — the fast
-	// paths never emit zero-length epochs.
+	// advance time — the fast paths never emit zero-length epochs.
 	Start, End float64
 	// Alive is n_t, the number of alive jobs throughout the interval.
 	Alive int
@@ -94,10 +92,10 @@ func (e *Epoch) Duration() float64 { return e.End - e.Start }
 func (e *Epoch) Overloaded(m int) bool { return e.Alive >= m }
 
 // JobEpochObserver is implemented by observers that need the per-job
-// Jobs/Rates breakdown in every epoch (dual witnesses, Gantt rendering).
+// Jobs/Rates breakdown in every epoch (dual witnesses, SegmentRecorder).
 // Only the reference engine produces it, so a dispatching front-end
 // (fast.RunWS) falls back to the reference engine when
-// NeedsJobEpochs() is true — the same routing RecordSegments gets.
+// NeedsJobEpochs() is true.
 type JobEpochObserver interface {
 	Observer
 	NeedsJobEpochs() bool
@@ -217,10 +215,13 @@ func (m MultiObserver) CoarseEpochsOK() bool {
 	return true
 }
 
-// SegmentRecorder is RecordSegments as an observer: it materializes the
-// epoch stream into a Segment timeline, deep-copying every epoch. It is
-// what RecordSegments now means internally, and the explicit form callers
-// use when they want the full timeline alongside other observers.
+// SegmentRecorder records a run's rate timeline: it materializes the epoch
+// stream into Segments, deep-copying every epoch, for the readers that
+// walk a whole schedule after the run (ValidateResult, AssignMachines,
+// FractionalFlows, FractionalAgeMoment, RenderGantt, ComputeTimeStats,
+// dual.Build). It needs per-job epochs, so dispatchers run it on the
+// reference engine. Attach it through Options.Observer (Multi combines it
+// with others); a reused recorder appends, so reset Segments between runs.
 type SegmentRecorder struct {
 	Segments []Segment
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -70,7 +71,7 @@ func observerInstance() *Instance {
 func TestObserverContract(t *testing.T) {
 	in := observerInstance()
 	c := newCollector()
-	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, RecordSegments: true, Observer: c})
+	res, segs := mustRecord(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, Observer: c})
 	n := len(res.Jobs)
 
 	if c.done != 1 {
@@ -94,12 +95,12 @@ func TestObserverContract(t *testing.T) {
 		approx(t, c.complF[i], res.Flow[i], 0, "completion flow")
 	}
 
-	// The epoch stream is the segment timeline, field for field.
-	if len(c.epochs) != len(res.Segments) {
-		t.Fatalf("got %d epochs, want %d segments", len(c.epochs), len(res.Segments))
+	// The epoch stream is the recorded segment timeline, field for field.
+	if len(c.epochs) != len(segs) {
+		t.Fatalf("got %d epochs, want %d segments", len(c.epochs), len(segs))
 	}
 	for i, e := range c.epochs {
-		seg := res.Segments[i]
+		seg := segs[i]
 		if e.Start != seg.Start || e.End != seg.End {
 			t.Fatalf("epoch %d bounds [%v,%v], segment [%v,%v]", i, e.Start, e.End, seg.Start, seg.End)
 		}
@@ -117,20 +118,28 @@ func TestObserverContract(t *testing.T) {
 	}
 }
 
-func TestSegmentRecorderMatchesRecordSegments(t *testing.T) {
-	in := observerInstance()
-	ref := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, RecordSegments: true})
+// TestSegmentRecorderCopiesEpochs: a recorded timeline must survive the
+// engine's next run on the same workspace, which rewrites the scratch the
+// epochs' slices alias — the recorder deep-copies every epoch.
+func TestSegmentRecorderCopiesEpochs(t *testing.T) {
+	ws := NewWorkspace()
+	opts := Options{Machines: 1, Speed: 1}
+	_, ref := mustRecord(t, observerInstance(), eqPolicy{}, opts)
 
 	var rec SegmentRecorder
-	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, Observer: &rec})
-	if res.Segments != nil {
-		t.Fatalf("RecordSegments off: res.Segments should be nil")
+	opts.Observer = &rec
+	if _, err := RunWS(observerInstance(), eqPolicy{}, opts, ws); err != nil {
+		t.Fatal(err)
 	}
-	if len(rec.Segments) != len(ref.Segments) {
-		t.Fatalf("recorder got %d segments, want %d", len(rec.Segments), len(ref.Segments))
+	opts.Observer = nil
+	if _, err := RunWS(randomInstance(rand.New(rand.NewPCG(3, 4)), 30), onePolicy{}, opts, ws); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Segments) != len(ref) {
+		t.Fatalf("recorder got %d segments, want %d", len(rec.Segments), len(ref))
 	}
 	for i := range rec.Segments {
-		a, b := rec.Segments[i], ref.Segments[i]
+		a, b := rec.Segments[i], ref[i]
 		if a.Start != b.Start || a.End != b.End || len(a.Jobs) != len(b.Jobs) {
 			t.Fatalf("segment %d differs: %+v vs %+v", i, a, b)
 		}

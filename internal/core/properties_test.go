@@ -9,16 +9,16 @@ import (
 func TestEngineDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(91, 92))
 	in := randomInstance(rng, 40)
-	opts := Options{Machines: 2, Speed: 1.7, RecordSegments: true}
-	a := mustRun(t, in, eqPolicy{}, opts)
-	b := mustRun(t, in, eqPolicy{}, opts)
+	opts := Options{Machines: 2, Speed: 1.7}
+	a, aSegs := mustRecord(t, in, eqPolicy{}, opts)
+	b, bSegs := mustRecord(t, in, eqPolicy{}, opts)
 	for i := range a.Completion {
 		if a.Completion[i] != b.Completion[i] {
 			t.Fatalf("completion %d differs: %v vs %v", i, a.Completion[i], b.Completion[i])
 		}
 	}
-	if len(a.Segments) != len(b.Segments) {
-		t.Fatalf("segment counts differ: %d vs %d", len(a.Segments), len(b.Segments))
+	if len(aSegs) != len(bSegs) {
+		t.Fatalf("segment counts differ: %d vs %d", len(aSegs), len(bSegs))
 	}
 }
 
@@ -33,12 +33,12 @@ func TestReferenceScheduleInvariants(t *testing.T) {
 		in := randomInstance(rng, 5+rng.IntN(25))
 		m := 1 + rng.IntN(3)
 		for _, p := range []Policy{eqPolicy{}, onePolicy{}} {
-			res := mustRun(t, in, p, Options{Machines: m, Speed: 1 + rng.Float64(), RecordSegments: true})
-			if err := ValidateResult(res); err != nil {
+			res, segs := mustRecord(t, in, p, Options{Machines: m, Speed: 1 + rng.Float64()})
+			if err := ValidateResult(res, segs); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, p.Name(), err)
 			}
-			for si := range res.Segments {
-				seg := &res.Segments[si]
+			for si := range segs {
+				seg := &segs[si]
 				if seg.Duration() == 0 {
 					continue
 				}
@@ -64,11 +64,11 @@ func TestRRMonotoneInJobs(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + rng.IntN(15)
 		in := randomInstance(rng, n)
-		base := mustRun(t, in, eqPolicy{}, DefaultOptions())
+		base := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 		// Insert one extra job at a random time.
 		extra := Job{ID: 10_000, Release: rng.Float64() * in.MaxRelease(), Size: 0.2 + rng.Float64()*3}
 		bigger := NewInstance(append(append([]Job(nil), in.Jobs...), extra))
-		after := mustRun(t, bigger, eqPolicy{}, DefaultOptions())
+		after := mustRun(t, bigger, eqPolicy{}, Options{Machines: 1, Speed: 1})
 		afterByID := after.FlowByID()
 		for i, j := range base.Jobs {
 			if afterByID[j.ID] < base.Flow[i]-1e-9 {

@@ -76,10 +76,19 @@ func TestRunStreamEmptySource(t *testing.T) {
 	}
 }
 
-func TestRunStreamRejectsRecordSegments(t *testing.T) {
-	_, err := RunStream(&sliceSource{jobs: testJobs()}, eqPolicy{}, Options{Machines: 1, Speed: 1, RecordSegments: true}, nil)
-	if !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("want ErrBadOptions, got %v", err)
+// TestRunStreamRecordsSegments: a SegmentRecorder on a streaming run
+// records the materialized run's timeline — a stream keeps O(alive) state
+// unless the caller asks for the timeline.
+func TestRunStreamRecordsSegments(t *testing.T) {
+	opts := Options{Machines: 1, Speed: 1}
+	_, want := mustRecord(t, &Instance{Jobs: testJobs()}, eqPolicy{}, opts)
+	var rec SegmentRecorder
+	opts.Observer = &rec
+	if _, err := RunStream(&sliceSource{jobs: testJobs()}, eqPolicy{}, opts, nil); err != nil {
+		t.Fatalf("RunStream: %v", err)
+	}
+	if fmt.Sprint(rec.Segments) != fmt.Sprint(want) {
+		t.Fatalf("stream recorded %v, materialized %v", rec.Segments, want)
 	}
 }
 

@@ -19,23 +19,23 @@ type TimeStats struct {
 	OverloadedTime float64
 }
 
-// ComputeTimeStats derives TimeStats from a result's segments (requires
-// RecordSegments).
-func ComputeTimeStats(res *Result) TimeStats {
+// ComputeTimeStats derives TimeStats from a run's rate timeline segs
+// (recorded by a SegmentRecorder); res supplies the machine count.
+func ComputeTimeStats(res *Result, segs []Segment) TimeStats {
 	var ts TimeStats
-	if len(res.Segments) == 0 {
+	if len(segs) == 0 {
 		return ts
 	}
-	ts.Start = res.Segments[0].Start
-	ts.End = res.Segments[len(res.Segments)-1].End
+	ts.Start = segs[0].Start
+	ts.End = segs[len(segs)-1].End
 	total := ts.End - ts.Start
 	if total <= 0 {
 		return ts
 	}
 	var aliveArea, rateArea float64
 	prevEnd := ts.Start
-	for si := range res.Segments {
-		seg := &res.Segments[si]
+	for si := range segs {
+		seg := &segs[si]
 		d := seg.Duration()
 		if seg.Start > prevEnd+1e-12*(1+seg.Start) || si == 0 {
 			ts.BusyPeriods++

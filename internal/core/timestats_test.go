@@ -8,8 +8,7 @@ import (
 func TestTimeStatsSimple(t *testing.T) {
 	// Two unit jobs back to back with a gap: [0,1] job 0, [5,6] job 1.
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}, {ID: 1, Release: 5, Size: 1}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
-	ts := ComputeTimeStats(res)
+	ts := ComputeTimeStats(mustRecord(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1}))
 	approx(t, ts.Start, 0, 1e-12, "start")
 	approx(t, ts.End, 6, 1e-9, "end")
 	approx(t, ts.BusyTime, 2, 1e-9, "busy time")
@@ -25,8 +24,7 @@ func TestTimeStatsSimple(t *testing.T) {
 }
 
 func TestTimeStatsEmpty(t *testing.T) {
-	res := mustRun(t, NewInstance(nil), eqPolicy{}, DefaultOptions())
-	ts := ComputeTimeStats(res)
+	ts := ComputeTimeStats(mustRecord(t, NewInstance(nil), eqPolicy{}, Options{Machines: 1, Speed: 1}))
 	if ts.BusyPeriods != 0 || ts.AvgAlive != 0 {
 		t.Fatalf("empty stats: %+v", ts)
 	}
@@ -40,11 +38,8 @@ func TestLittlesLaw(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		in := randomInstance(rng, 5+rng.IntN(40))
 		for _, p := range []Policy{eqPolicy{}, onePolicy{}} {
-			res, err := Run(in, p, Options{Machines: 1 + rng.IntN(3), Speed: 1 + rng.Float64(), RecordSegments: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := ComputeTimeStats(res)
+			res, segs := mustRecord(t, in, p, Options{Machines: 1 + rng.IntN(3), Speed: 1 + rng.Float64()})
+			ts := ComputeTimeStats(res, segs)
 			horizon := ts.End - ts.Start
 			var sumFlow float64
 			for _, f := range res.Flow {
@@ -68,11 +63,7 @@ func TestUtilizationWorkConservation(t *testing.T) {
 		in := randomInstance(rng, 3+rng.IntN(30))
 		m := 1 + rng.IntN(4)
 		speed := 1 + 2*rng.Float64()
-		res, err := Run(in, eqPolicy{}, Options{Machines: m, Speed: speed, RecordSegments: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := ComputeTimeStats(res)
+		ts := ComputeTimeStats(mustRecord(t, in, eqPolicy{}, Options{Machines: m, Speed: speed}))
 		consumed := ts.Utilization * float64(m) * (ts.End - ts.Start) * speed
 		if d := consumed - in.TotalWork(); d > 1e-6*(1+in.TotalWork()) || d < -1e-6*(1+in.TotalWork()) {
 			t.Fatalf("trial %d: consumed %v, work %v", trial, consumed, in.TotalWork())

@@ -9,8 +9,27 @@ import (
 // ErrInvalidSchedule wraps all schedule-validation failures.
 var ErrInvalidSchedule = errors.New("core: invalid schedule")
 
-// ValidateResult cross-checks a recorded schedule against the instance and
-// the engine's reported completions:
+// TimelineMissing reports whether segs cannot be res's rate timeline: it is
+// empty while some job needed processing. A run whose every job completes
+// at admission (Size ≤ CompletionTol(Size)) emits no epochs, so an empty
+// timeline is its whole timeline. The timeline readers that must see the
+// work done (ValidateResult, AssignMachines, FractionalFlows,
+// FractionalAgeMoment, dual.Build) reject a run with this one test.
+func TimelineMissing(res *Result, segs []Segment) bool {
+	if len(segs) > 0 {
+		return false
+	}
+	for _, j := range res.Jobs {
+		if j.Size > CompletionTol(j.Size) {
+			return true
+		}
+	}
+	return false
+}
+
+// ValidateResult cross-checks a run's rate timeline segs (recorded by a
+// SegmentRecorder) against the instance and the engine's reported
+// completions:
 //
 //   - segments are chronological and non-overlapping;
 //   - every rate is in [0, s_max] and per-segment rate sums are ≤ Σ speeds
@@ -21,9 +40,7 @@ var ErrInvalidSchedule = errors.New("core: invalid schedule")
 //     number of positive→zero rate transitions while alive (within
 //     tolerance);
 //   - completions and flows are consistent (C_j = r_j + F_j, C_j ≥ r_j).
-//
-// It requires the result to have been produced with RecordSegments enabled.
-func ValidateResult(res *Result) error {
+func ValidateResult(res *Result, segs []Segment) error {
 	n := len(res.Jobs)
 	maxRate, capSum := 1.0, float64(res.Machines)
 	if res.MachineModel.Heterogeneous() {
@@ -39,8 +56,8 @@ func ValidateResult(res *Result) error {
 	if len(res.Completion) != n || len(res.Flow) != n {
 		return fmt.Errorf("%w: completion/flow length mismatch", ErrInvalidSchedule)
 	}
-	if len(res.Segments) == 0 && n > 0 {
-		return fmt.Errorf("%w: no segments recorded (RecordSegments off?)", ErrInvalidSchedule)
+	if TimelineMissing(res, segs) {
+		return fmt.Errorf("%w: no segments recorded (attach a SegmentRecorder)", ErrInvalidSchedule)
 	}
 	for i, j := range res.Jobs {
 		if res.Completion[i] < j.Release-1e-9 {
@@ -58,8 +75,8 @@ func ValidateResult(res *Result) error {
 		prevRate = make([]float64, n)
 	}
 	prevEnd := math.Inf(-1)
-	for si := range res.Segments {
-		seg := &res.Segments[si]
+	for si := range segs {
+		seg := &segs[si]
 		if seg.End < seg.Start {
 			return fmt.Errorf("%w: segment %d reversed [%v,%v)", ErrInvalidSchedule, si, seg.Start, seg.End)
 		}

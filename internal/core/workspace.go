@@ -334,16 +334,5 @@ func (r *Result) Clone() *Result {
 	out.Jobs = append([]Job(nil), r.Jobs...)
 	out.Completion = append([]float64(nil), r.Completion...)
 	out.Flow = append([]float64(nil), r.Flow...)
-	if r.Segments != nil {
-		out.Segments = make([]Segment, len(r.Segments))
-		for i, s := range r.Segments {
-			out.Segments[i] = Segment{
-				Start: s.Start,
-				End:   s.End,
-				Jobs:  append([]int(nil), s.Jobs...),
-				Rates: append([]float64(nil), s.Rates...),
-			}
-		}
-	}
 	return &out
 }

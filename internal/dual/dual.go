@@ -100,7 +100,7 @@ type Certificate struct {
 
 // Errors returned by Build.
 var (
-	ErrNeedSegments = errors.New("dual: result lacks segments (run with RecordSegments)")
+	ErrNeedSegments = errors.New("dual: result lacks segments (attach a core.SegmentRecorder)")
 	ErrBadEps       = errors.New("dual: eps must be in (0, 0.1]")
 )
 
@@ -138,11 +138,12 @@ func alphaEpoch(alpha, releases []float64, jobs []int, start, end float64, k int
 	}
 }
 
-// Build constructs and checks the paper's dual solution for a recorded
-// schedule (intended: RR at speed ≥ 2k(1+10ε); the construction itself only
-// needs the segment timeline). k ≥ 1; eps ∈ (0, 0.1].
-func Build(res *core.Result, k int, eps float64) (*Certificate, error) {
-	if len(res.Segments) == 0 && len(res.Jobs) > 0 {
+// Build constructs and checks the paper's dual solution for a run and its
+// rate timeline segs, recorded by a core.SegmentRecorder (intended: RR at
+// speed ≥ 2k(1+10ε); the construction itself only needs the timeline).
+// k ≥ 1; eps ∈ (0, 0.1].
+func Build(res *core.Result, segs []core.Segment, k int, eps float64) (*Certificate, error) {
+	if core.TimelineMissing(res, segs) {
 		return nil, ErrNeedSegments
 	}
 	if err := checkParams(k, eps); err != nil {
@@ -155,8 +156,8 @@ func Build(res *core.Result, k int, eps float64) (*Certificate, error) {
 		releases[i] = res.Jobs[i].Release
 	}
 	// α: accumulate per-segment closed-form integrals.
-	for si := range res.Segments {
-		seg := &res.Segments[si]
+	for si := range segs {
+		seg := &segs[si]
 		alphaEpoch(alpha, releases, seg.Jobs, seg.Start, seg.End, k, seg.OverloadedAt(res.Machines))
 	}
 	return finishCertificate(res, k, eps, alpha), nil

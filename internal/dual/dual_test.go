@@ -14,13 +14,16 @@ import (
 	"rrnorm/internal/workload"
 )
 
-func runRR(t *testing.T, in *core.Instance, m int, speed float64) *core.Result {
+// runRR runs RR with a SegmentRecorder attached and returns the result and
+// its recorded rate timeline.
+func runRR(t *testing.T, in *core.Instance, m int, speed float64) (*core.Result, []core.Segment) {
 	t.Helper()
-	res, err := core.Run(in, policy.NewRR(), core.Options{Machines: m, Speed: speed, RecordSegments: true})
+	var rec core.SegmentRecorder
+	res, err := core.Run(in, policy.NewRR(), core.Options{Machines: m, Speed: speed, Observer: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, rec.Segments
 }
 
 func TestConstants(t *testing.T) {
@@ -37,36 +40,37 @@ func TestConstants(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	in := core.NewInstance([]core.Job{{ID: 0, Release: 0, Size: 1}})
-	res, err := core.Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: 1, RecordSegments: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Build(res, 2, 0.05); !errors.Is(err, ErrNeedSegments) {
+	res, segs := runRR(t, in, 1, 1)
+	if _, err := Build(res, nil, 2, 0.05); !errors.Is(err, ErrNeedSegments) {
 		t.Fatalf("want ErrNeedSegments, got %v", err)
 	}
-	res2 := runRR(t, in, 1, 1)
-	if _, err := Build(res2, 2, 0.5); !errors.Is(err, ErrBadEps) {
+	if _, err := Build(res, segs, 2, 0.5); !errors.Is(err, ErrBadEps) {
 		t.Fatalf("want ErrBadEps, got %v", err)
 	}
-	if _, err := Build(res2, 2, 0); !errors.Is(err, ErrBadEps) {
+	if _, err := Build(res, segs, 2, 0); !errors.Is(err, ErrBadEps) {
 		t.Fatalf("eps=0: want ErrBadEps, got %v", err)
 	}
-	if _, err := Build(res2, 0, 0.05); err == nil {
+	if _, err := Build(res, segs, 0, 0.05); err == nil {
 		t.Fatal("k=0 should fail")
 	}
 }
 
+// TestEmptySchedule: a run with no work has an empty timeline, which Build
+// must accept — for no jobs, and for zero-size jobs that complete at
+// admission.
 func TestEmptySchedule(t *testing.T) {
-	res, err := core.Run(core.NewInstance(nil), policy.NewRR(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Build(res, 2, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Feasible {
-		t.Fatal("empty schedule should be trivially feasible")
+	for name, jobs := range map[string][]core.Job{
+		"no jobs":            nil,
+		"two zero-size jobs": {{ID: 0, Release: 0}, {ID: 1, Release: 1}},
+	} {
+		res, segs := runRR(t, core.NewInstance(jobs), 1, 1)
+		c, err := Build(res, segs, 2, 0.05)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !c.Feasible {
+			t.Fatalf("%s: empty schedule should be trivially feasible", name)
+		}
 	}
 }
 
@@ -91,8 +95,8 @@ func TestTheoremSpeedCertificate(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 3} {
 		for _, tc := range cases {
-			res := runRR(t, tc.in, tc.m, Eta(k, eps))
-			c, err := Build(res, k, eps)
+			res, segs := runRR(t, tc.in, tc.m, Eta(k, eps))
+			c, err := Build(res, segs, k, eps)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
@@ -121,8 +125,8 @@ func TestTheoremSpeedCertificate(t *testing.T) {
 // requirement in the analysis is doing real work.
 func TestLowSpeedCanBeInfeasible(t *testing.T) {
 	in := workload.PoissonLoad(stats.NewRNG(1), 60, 1, 0.9, workload.ExpSizes{M: 1})
-	res := runRR(t, in, 1, 1)
-	c, err := Build(res, 2, 0.05)
+	res, segs := runRR(t, in, 1, 1)
+	c, err := Build(res, segs, 2, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +146,8 @@ func TestDualObjectiveBelowLP(t *testing.T) {
 	const eps = 0.05
 	in := workload.PoissonLoad(stats.NewRNG(7), 25, 1, 0.8, workload.ExpSizes{M: 1})
 	for _, k := range []int{1, 2} {
-		res := runRR(t, in, 1, Eta(k, eps))
-		c, err := Build(res, k, eps)
+		res, segs := runRR(t, in, 1, Eta(k, eps))
+		c, err := Build(res, segs, k, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,8 +179,8 @@ func TestBetaClosedFormMatchesSteps(t *testing.T) {
 	const eps = 0.05
 	in := workload.PoissonLoad(stats.NewRNG(8), 40, 2, 0.9, workload.ExpSizes{M: 1})
 	for _, k := range []int{1, 2, 3} {
-		res := runRR(t, in, 2, Eta(k, eps))
-		c, err := Build(res, k, eps)
+		res, segs := runRR(t, in, 2, Eta(k, eps))
+		c, err := Build(res, segs, k, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,8 +195,8 @@ func TestBetaClosedFormMatchesSteps(t *testing.T) {
 // (one alive job: overloaded iff m=1, rank 1, n_t=1).
 func TestSingleJobAlpha(t *testing.T) {
 	in := core.NewInstance([]core.Job{{ID: 0, Release: 2, Size: 4}})
-	res := runRR(t, in, 1, 2) // F = 2
-	c, err := Build(res, 2, 0.05)
+	res, segs := runRR(t, in, 1, 2) // F = 2
+	c, err := Build(res, segs, 2, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +211,8 @@ func TestSingleJobAlpha(t *testing.T) {
 
 func TestCertificateString(t *testing.T) {
 	in := workload.Batch(stats.NewRNG(9), 5, workload.FixedSizes{V: 1})
-	res := runRR(t, in, 1, Eta(2, 0.05))
-	c, err := Build(res, 2, 0.05)
+	res, segs := runRR(t, in, 1, Eta(2, 0.05))
+	c, err := Build(res, segs, 2, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +230,8 @@ func TestCertificateString(t *testing.T) {
 func TestEpsilonSweep(t *testing.T) {
 	in := workload.PoissonLoad(stats.NewRNG(10), 40, 1, 0.85, workload.ExpSizes{M: 1})
 	for _, eps := range []float64{0.01, 0.03, 0.05, 1.0 / 15} {
-		res := runRR(t, in, 1, Eta(2, eps))
-		c, err := Build(res, 2, eps)
+		res, segs := runRR(t, in, 1, Eta(2, eps))
+		c, err := Build(res, segs, 2, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +243,8 @@ func TestEpsilonSweep(t *testing.T) {
 
 func TestJobSlackAndTopBinding(t *testing.T) {
 	in := workload.PoissonLoad(stats.NewRNG(12), 30, 1, 0.9, workload.ExpSizes{M: 1})
-	res := runRR(t, in, 1, Eta(2, 0.05))
-	c, err := Build(res, 2, 0.05)
+	res, segs := runRR(t, in, 1, Eta(2, 0.05))
+	c, err := Build(res, segs, 2, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,12 @@ func TestConstraintSweepMatchesBruteForce(t *testing.T) {
 	runs, infeasible := 0, 0
 	compare := func(label string, in *core.Instance, m int, speed float64, k int) {
 		t.Helper()
-		res, err := core.Run(in, policy.NewRR(), core.Options{Machines: m, Speed: speed, RecordSegments: true})
+		var rec core.SegmentRecorder
+		res, err := core.Run(in, policy.NewRR(), core.Options{Machines: m, Speed: speed, Observer: &rec})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		c, err := dual.Build(res, k, eps)
+		c, err := dual.Build(res, rec.Segments, k, eps)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -13,8 +13,8 @@ import (
 var ErrWitnessIncomplete = errors.New("dual: witness run did not complete")
 
 // WitnessObserver accumulates the paper's dual variables online: α_j grows
-// epoch by epoch via the same closed-form integrals Build derives from
-// Segments, and the β side plus all feasibility checks run at ObserveDone.
+// epoch by epoch via the same closed-form integrals Build derives from a
+// recorded Segment timeline, and the β side plus all feasibility checks run at ObserveDone.
 // Because it shares Build's accumulation (alphaEpoch) and finish
 // (finishCertificate) verbatim, the certificate it produces is
 // bitwise-identical to Build's on the same schedule — without ever

@@ -30,14 +30,14 @@ func TestWitnessObserverMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		speed := Eta(tc.k, tc.eps)
+		var rec core.SegmentRecorder
 		res, err := core.Run(in, policy.NewRR(), core.Options{
-			Machines: tc.m, Speed: speed, RecordSegments: true, Observer: w,
+			Machines: tc.m, Speed: Eta(tc.k, tc.eps), Observer: core.Multi(w, &rec),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Build(res, tc.k, tc.eps)
+		want, err := Build(res, rec.Segments, tc.k, tc.eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,10 +52,10 @@ func TestWitnessObserverMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestWitnessObserverNoSegments: the certificate must come out without
-// Result.Segments ever being materialized (the point of the observer), and
-// the needs-job-epochs capability must be declared so dispatchers route it
-// to the reference engine.
+// TestWitnessObserverNoSegments: the certificate must come out of a run
+// that records no Segment timeline (the point of the observer), and the
+// needs-job-epochs capability must be declared so dispatchers route it to
+// the reference engine.
 func TestWitnessObserverNoSegments(t *testing.T) {
 	in := workload.PoissonLoad(stats.NewRNG(5), 150, 1, 0.9, workload.ExpSizes{M: 1})
 	w, err := NewWitnessObserver(2, 0.05, 1)
@@ -65,12 +65,8 @@ func TestWitnessObserverNoSegments(t *testing.T) {
 	if !core.ObserverNeedsJobEpochs(w) {
 		t.Fatal("WitnessObserver must need job epochs")
 	}
-	res, err := core.Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: Eta(2, 0.05), Observer: w})
-	if err != nil {
+	if _, err := core.Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: Eta(2, 0.05), Observer: w}); err != nil {
 		t.Fatal(err)
-	}
-	if res.Segments != nil {
-		t.Fatal("segments were materialized")
 	}
 	c, err := w.Certificate()
 	if err != nil {
@@ -82,11 +78,12 @@ func TestWitnessObserverNoSegments(t *testing.T) {
 		t.Fatalf("certificate unsound: %s", c)
 	}
 	// And it must equal the Segment-derived one from a fresh recorded run.
-	ref, err := core.Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: Eta(2, 0.05), RecordSegments: true})
+	var rec core.SegmentRecorder
+	ref, err := core.Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: Eta(2, 0.05), Observer: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Build(ref, 2, 0.05)
+	want, err := Build(ref, rec.Segments, 2, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,8 @@ func E6(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		// BusyTime and OverloadedTime accumulate exactly the per-segment
-		// durations the old RecordSegments walk summed, epoch by epoch.
+		// durations ComputeTimeStats sums over a recorded timeline, epoch
+		// by epoch.
 		st := tl.Stats()
 		frac := 0.0
 		if st.BusyTime > 0 {

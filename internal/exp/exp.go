@@ -1,4 +1,4 @@
-// Package exp defines the experiment suite E1–E17: the numerical
+// Package exp defines the experiment suite E1–E28: the numerical
 // counterparts of every claim in the paper, plus ablations and the
 // related-settings reproductions (see DESIGN.md §3). Each experiment
 // produces Tables that the rrbench CLI renders as text and CSV.
@@ -30,12 +30,6 @@ type Config struct {
 	// SJF, FCFS, StaticPriority) and the reference engine for everything
 	// else; EngineReference forces the step-based reference engine.
 	Engine core.EngineKind
-	// ForbidSegments makes any run that asks for RecordSegments fail: a
-	// guard that the suite's data paths all go through the streaming
-	// observer pipeline (DESIGN.md §13). The CI matrix runs the whole
-	// suite with this set; with it off, Segment recording remains
-	// available as an opt-in debugging mode.
-	ForbidSegments bool
 }
 
 // Table is a rendered experiment result.
@@ -128,7 +122,7 @@ type Experiment struct {
 	Run   func(Config) ([]*Table, error)
 }
 
-// All returns the experiment suite in order E1..E17.
+// All returns the experiment suite in order E1..E28.
 func All() []Experiment {
 	return []Experiment{
 		{"E1", "Theorem 1 shape: RR ℓk-ratio vs speed (k=1,2,3)", E1},

@@ -19,12 +19,9 @@ var updateQuickDigests = flag.Bool("update-quick-digests", false, "rewrite testd
 // quickDigestFile holds the SHA-256 of every table's quick-suite CSV.
 const quickDigestFile = "testdata/quick_digests.txt"
 
-// quickCfg is the suite configuration the tests run. The CI matrix sets
-// RRNORM_FORBID_SEGMENTS to run the whole suite with RecordSegments forced
-// off, proving every experiment's data path is the streaming observer
-// pipeline (any segment-recording run then fails loudly).
+// quickCfg is the suite configuration the tests run.
 func quickCfg() Config {
-	return Config{Seed: 42, Quick: true, ForbidSegments: os.Getenv("RRNORM_FORBID_SEGMENTS") != ""}
+	return Config{Seed: 42, Quick: true}
 }
 
 // cell parses a table cell as float.
@@ -69,9 +66,7 @@ func runExp(t *testing.T, id string) []*Table {
 // table's shape, and is the tripwire for committed numbers: the SHA-256 of
 // every table's CSV must match testdata/quick_digests.txt, so any change to
 // an experiment's output fails here until the digests are regenerated with
-// go test ./internal/exp -run TestAllExperimentsRunQuick -update-quick-digests
-// (ForbidSegments leaves every CSV byte-identical, so both CI legs check the
-// same digests).
+// go test ./internal/exp -run TestAllExperimentsRunQuick -update-quick-digests.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite in -short mode")

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -20,16 +19,9 @@ import (
 // and falls back to the reference engine otherwise, so the whole suite
 // benefits without per-experiment opt-ins.
 func runEngine(cfg Config, in *core.Instance, p core.Policy, opts core.Options) (*core.Result, error) {
-	if cfg.ForbidSegments && opts.RecordSegments {
-		return nil, errSegmentsForbidden
-	}
 	opts.Engine = cfg.Engine
 	return fast.Run(in, p, opts)
 }
-
-// errSegmentsForbidden surfaces a RecordSegments run attempted while the
-// suite is pinned to the streaming observer data path.
-var errSegmentsForbidden = errors.New("exp: RecordSegments requested but Config.ForbidSegments is set — the suite's data path is the observer pipeline")
 
 // runPolicy simulates the named policy and returns the result. The suite's
 // data paths are segment-free; experiments that need timeline or
@@ -39,9 +31,9 @@ func runPolicy(cfg Config, in *core.Instance, name string, m int, speed float64)
 }
 
 // runObserved simulates the named policy with a streaming observer
-// attached — the suite's replacement for RecordSegments + post-processing.
-// Observers that need per-job epochs (dual witnesses, age moments) route
-// the run to the reference engine, exactly as a recorded run would have.
+// attached, which reduces the schedule during the run instead of from a
+// recorded timeline. Observers that need per-job epochs (dual witnesses,
+// age moments) route the run to the reference engine.
 func runObserved(cfg Config, in *core.Instance, name string, m int, speed float64, obs core.Observer) (*core.Result, error) {
 	p, err := policy.New(name)
 	if err != nil {

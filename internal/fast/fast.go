@@ -15,8 +15,8 @@
 // Run is a drop-in replacement for core.Run that honors
 // core.Options.Engine: it dispatches to a fast path when one exists and
 // falls back to the reference engine for arbitrary Policy implementations
-// (or when RecordSegments demands the full rate timeline, which only the
-// reference engine produces).
+// (or when an observer such as core.SegmentRecorder needs per-job epochs,
+// which only the reference engine produces).
 //
 // Agreement with the reference engine — completion times, flows and
 // ℓk-norms within 1e-6 — is enforced by the differential-testing oracle
@@ -46,15 +46,16 @@ var ErrNoFastPath = errors.New("fast: no fast path for policy/options")
 const ctxStride = 256
 
 // Eligible reports whether the policy/options combination has a fast path:
-// one of the structured policies, with segment recording disabled (the rate
-// timeline is only produced by the reference engine) and no observer that
-// needs per-job epochs (the fast paths emit aggregate-only epochs). Under a
+// one of the structured policies, with no observer that needs per-job
+// epochs (the fast paths emit aggregate-only epochs, so a
+// core.SegmentRecorder's rate timeline comes from the reference engine
+// only). Under a
 // heterogeneous machine model only RR is eligible: its fair share stays a
 // single per-alive-count scalar (water-filling), while the rank-based paths
 // assume the m identical-speed slots that make completion-if-unpreempted
 // times policy-independent.
 func Eligible(p core.Policy, opts core.Options) bool {
-	if opts.RecordSegments || core.ObserverNeedsJobEpochs(opts.Observer) {
+	if core.ObserverNeedsJobEpochs(opts.Observer) {
 		return false
 	}
 	switch p.(type) {
@@ -98,8 +99,8 @@ func RunWS(in *core.Instance, p core.Policy, opts core.Options, ws *core.Workspa
 	}
 	if !Eligible(p, opts) {
 		if opts.Engine == core.EngineFast {
-			return nil, fmt.Errorf("%w: policy %s (RecordSegments=%v, observer needs job epochs=%v)",
-				ErrNoFastPath, p.Name(), opts.RecordSegments, core.ObserverNeedsJobEpochs(opts.Observer))
+			return nil, fmt.Errorf("%w: policy %s (observer needs job epochs=%v)",
+				ErrNoFastPath, p.Name(), core.ObserverNeedsJobEpochs(opts.Observer))
 		}
 		return core.RunWS(in, p, opts, ws)
 	}
@@ -155,8 +156,8 @@ func RunStream(src core.JobSource, p core.Policy, opts core.Options, ws *core.Wo
 	}
 	if !Eligible(p, opts) {
 		if opts.Engine == core.EngineFast {
-			return core.StreamResult{}, fmt.Errorf("%w: policy %s (RecordSegments=%v, observer needs job epochs=%v)",
-				ErrNoFastPath, p.Name(), opts.RecordSegments, core.ObserverNeedsJobEpochs(opts.Observer))
+			return core.StreamResult{}, fmt.Errorf("%w: policy %s (observer needs job epochs=%v)",
+				ErrNoFastPath, p.Name(), core.ObserverNeedsJobEpochs(opts.Observer))
 		}
 		return core.RunStream(src, p, opts, ws)
 	}

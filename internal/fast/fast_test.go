@@ -147,20 +147,20 @@ func TestDispatchAndFallback(t *testing.T) {
 	if _, err := Run(in, policy.NewSETF(), core.Options{Machines: 1, Speed: 1, Engine: core.EngineFast}); !errors.Is(err, ErrNoFastPath) {
 		t.Errorf("SETF under EngineFast: want ErrNoFastPath, got %v", err)
 	}
-	// EngineFast + RecordSegments → ErrNoFastPath (only the reference
+	// EngineFast + SegmentRecorder → ErrNoFastPath (only the reference
 	// engine produces the rate timeline).
-	if _, err := Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: 1, RecordSegments: true, Engine: core.EngineFast}); !errors.Is(err, ErrNoFastPath) {
-		t.Errorf("RecordSegments under EngineFast: want ErrNoFastPath, got %v", err)
+	if _, err := Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: 1, Observer: &core.SegmentRecorder{}, Engine: core.EngineFast}); !errors.Is(err, ErrNoFastPath) {
+		t.Errorf("SegmentRecorder under EngineFast: want ErrNoFastPath, got %v", err)
 	}
 	// EngineAuto + unsupported policy falls back to the reference engine.
 	res, err := Run(in, policy.NewSETF(), core.Options{Machines: 1, Speed: 1})
 	if err != nil || res.Events == 0 {
 		t.Errorf("SETF under EngineAuto should fall back: %v %+v", err, res)
 	}
-	// EngineAuto + RecordSegments falls back and records segments.
-	res, err = Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: 1, RecordSegments: true})
-	if err != nil || len(res.Segments) == 0 {
-		t.Errorf("RecordSegments under EngineAuto should fall back with segments: %v", err)
+	// EngineAuto + SegmentRecorder falls back and records segments.
+	var rec core.SegmentRecorder
+	if _, err = Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: 1, Observer: &rec}); err != nil || len(rec.Segments) == 0 {
+		t.Errorf("SegmentRecorder under EngineAuto should fall back with segments: %v", err)
 	}
 	// Bad options surface the same sentinel as core.Run.
 	if _, err := Run(in, policy.NewRR(), core.Options{Machines: 0, Speed: 1, Engine: core.EngineFast}); !errors.Is(err, core.ErrBadOptions) {
@@ -189,8 +189,8 @@ func TestEligible(t *testing.T) {
 			t.Errorf("%s should not be eligible", p.Name())
 		}
 	}
-	if Eligible(policy.NewRR(), core.Options{Machines: 1, Speed: 1, RecordSegments: true}) {
-		t.Error("RecordSegments must disable the fast path")
+	if Eligible(policy.NewRR(), core.Options{Machines: 1, Speed: 1, Observer: &core.SegmentRecorder{}}) {
+		t.Error("a SegmentRecorder must disable the fast path")
 	}
 }
 

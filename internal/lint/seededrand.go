@@ -8,7 +8,7 @@ import (
 // seededrand keeps workload generation reproducible: every random draw in
 // the generator packages must flow through a *rand.Rand constructed from an
 // explicit seed (a parameter or spec field), never through math/rand's
-// global source or a wall-clock seed. The experiment goldens (E1–E25) and
+// global source or a wall-clock seed. The experiment goldens (E1–E28) and
 // the serve cache's byte-keyed fingerprints are only stable because the
 // same (spec, seed) pair always yields the same instance.
 var seededrandAnalyzer = &Analyzer{

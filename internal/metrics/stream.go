@@ -11,8 +11,8 @@ import (
 // they induce — online, one completion at a time, for a fixed set of k's.
 // Attached as a core.Observer it replaces the LkNorm-over-Result.Flow
 // post-pass without materializing anything per job: state is O(len(ks)),
-// which is what lets an n=10⁶ sweep run without RecordSegments and without
-// a second pass over the flows.
+// which is what lets an n=10⁶ sweep run without a recorded Segment
+// timeline and without a second pass over the flows.
 //
 // Numerical stability matches LkNorm: sums are kept normalized by the
 // running maximum flow (Σ (F_j/max)^k), rescaled when a new maximum

@@ -18,11 +18,12 @@ func approx(t *testing.T, got, want, tol float64, msg string) {
 
 func run(t *testing.T, in *core.Instance, p core.Policy, m int, speed float64) *core.Result {
 	t.Helper()
-	res, err := core.Run(in, p, core.Options{Machines: m, Speed: speed, RecordSegments: true})
+	var rec core.SegmentRecorder
+	res, err := core.Run(in, p, core.Options{Machines: m, Speed: speed, Observer: &rec})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", p.Name(), err)
 	}
-	if err := core.ValidateResult(res); err != nil {
+	if err := core.ValidateResult(res, rec.Segments); err != nil {
 		t.Fatalf("ValidateResult(%s): %v", p.Name(), err)
 	}
 	return res
@@ -280,11 +281,12 @@ func TestAllPoliciesFeasibleAndComplete(t *testing.T) {
 		speed := 1 + 2*rng.Float64()
 		for _, name := range Names() {
 			p, _ := New(name)
-			res, err := core.Run(in, p, core.Options{Machines: m, Speed: speed, RecordSegments: true})
+			var rec core.SegmentRecorder
+			res, err := core.Run(in, p, core.Options{Machines: m, Speed: speed, Observer: &rec})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
-			if err := core.ValidateResult(res); err != nil {
+			if err := core.ValidateResult(res, rec.Segments); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
 		}

@@ -508,11 +508,12 @@ func TestSimulateTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(in, p, core.Options{Machines: 2, Speed: 1, RecordSegments: true})
+	var rec core.SegmentRecorder
+	res, err := core.Run(in, p, core.Options{Machines: 2, Speed: 1, Observer: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.ComputeTimeStats(res)
+	want := core.ComputeTimeStats(res, rec.Segments)
 	close := func(got, w float64, what string) {
 		t.Helper()
 		if d := math.Abs(got - w); d > 1e-6*(1+math.Max(math.Abs(got), math.Abs(w))) {

@@ -16,19 +16,21 @@ func timelineInstance(seed uint64, n int) *core.Instance {
 }
 
 // TestTimelineObserverMatchesComputeTimeStats: on the reference engine the
-// observer consumes exactly the intervals ComputeTimeStats reads from
-// Segments, with the same arithmetic — the two must agree to the last bit.
+// observer consumes exactly the intervals ComputeTimeStats reads from a
+// SegmentRecorder's timeline, with the same arithmetic — the two must agree
+// to the last bit.
 func TestTimelineObserverMatchesComputeTimeStats(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		in := timelineInstance(seed, 400)
 		o := stats.NewTimelineObserver(2)
+		var rec core.SegmentRecorder
 		res, err := core.Run(in, policy.NewRR(), core.Options{
-			Machines: 2, Speed: 1, RecordSegments: true, Observer: o,
+			Machines: 2, Speed: 1, Observer: core.Multi(o, &rec),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := core.ComputeTimeStats(res)
+		want := core.ComputeTimeStats(res, rec.Segments)
 		got := o.Stats()
 		if got != want {
 			t.Fatalf("seed %d: observer %+v\n  != segment-derived %+v", seed, got, want)
@@ -46,11 +48,12 @@ func TestTimelineObserverFastEngine(t *testing.T) {
 	pols := []core.Policy{policy.NewRR(), policy.NewSRPT(), policy.NewFCFS()}
 	for _, p := range pols {
 		in := timelineInstance(11, 500)
-		ref, err := core.Run(in, p, core.Options{Machines: 2, Speed: 1, RecordSegments: true})
+		var rec core.SegmentRecorder
+		ref, err := core.Run(in, p, core.Options{Machines: 2, Speed: 1, Observer: &rec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := core.ComputeTimeStats(ref)
+		want := core.ComputeTimeStats(ref, rec.Segments)
 
 		o := stats.NewTimelineObserver(2)
 		if _, err := fast.Run(in, p, core.Options{Machines: 2, Speed: 1, Engine: core.EngineFast, Observer: o}); err != nil {

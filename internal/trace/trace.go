@@ -3,7 +3,7 @@
 // for piping into jq, dashboards or offline analysis. It is the I/O face
 // of the core.Observer pipeline: where the other observers reduce the
 // stream, Observer here serializes it, so a schedule can be inspected
-// live (`rrtrace tail`) without ever materializing Result.Segments.
+// live (`rrtrace tail`) without recording its Segment timeline.
 package trace
 
 import (

@@ -105,7 +105,7 @@ func TestRRStreamSimultaneousCompletion(t *testing.T) {
 		if err := in.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Run(in, policy.NewRR(), core.Options{Machines: m, Speed: 1, RecordSegments: true})
+		res, err := core.Run(in, policy.NewRR(), core.Options{Machines: m, Speed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

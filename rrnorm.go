@@ -42,11 +42,16 @@ type (
 	// Instance is a set of jobs.
 	Instance = core.Instance
 	// Options configures a simulation (machines, speed augmentation,
-	// segment recording).
+	// engine, observer).
 	Options = core.Options
-	// Result is a simulated schedule with completions, flows and the rate
-	// timeline.
+	// Result is a simulated schedule's completions and flows.
 	Result = core.Result
+	// Segment is one rate-constant interval of a run's rate timeline.
+	Segment = core.Segment
+	// SegmentRecorder is the Observer that records a run's rate timeline
+	// for Gantt, TimeStats and FractionalFlows; attach it via
+	// Options.Observer and read its Segments after the run.
+	SegmentRecorder = core.SegmentRecorder
 	// Policy is the scheduling-policy interface; see internal/policy for
 	// the implementations and internal/core for the contract.
 	Policy = core.Policy
@@ -159,7 +164,8 @@ func KthPowerSum(flows []float64, k int) float64 { return metrics.KthPowerSum(fl
 // Observer receives a run's event stream (arrivals, rate-constant epochs,
 // completions, the finished result) as the engine produces it, so metrics
 // can be reduced in a single pass instead of post-processing a recorded
-// Segment timeline. Set it via Options.Observer; DESIGN.md §13 has the
+// Segment timeline (SegmentRecorder is the observer that records one).
+// Set it via Options.Observer; DESIGN.md §13 has the
 // exact callback contract, including the copy-or-drop ownership rule for
 // engine-owned slices.
 type Observer = core.Observer
@@ -236,7 +242,7 @@ func Certify(in *Instance, m, k int, eps float64) (*Certificate, error) {
 	// Segment timeline — and produces certificates identical to recording
 	// + dual.Build (pinned by the differential tests in internal/check).
 	// It needs per-job epochs, so the dispatcher routes it to the
-	// reference engine, exactly as RecordSegments was.
+	// reference engine.
 	w, err := dual.NewWitnessObserver(k, eps, m)
 	if err != nil {
 		return nil, err
@@ -248,16 +254,19 @@ func Certify(in *Instance, m, k int, eps float64) (*Certificate, error) {
 }
 
 // FractionalFlows computes per-job fractional flow times
-// ∫ (remaining fraction) dt from a recorded schedule (RecordSegments).
-func FractionalFlows(res *Result) ([]float64, error) { return core.FractionalFlows(res) }
+// ∫ (remaining fraction) dt from a run and the rate timeline a
+// SegmentRecorder recorded during it.
+func FractionalFlows(res *Result, segs []Segment) ([]float64, error) {
+	return core.FractionalFlows(res, segs)
+}
 
-// Gantt renders a recorded schedule as an ASCII chart (one row per job,
-// glyph darkness ∝ rate).
-func Gantt(res *Result, width int) string { return core.RenderGantt(res, width) }
+// Gantt renders a run's recorded rate timeline as an ASCII chart (one row
+// per job, glyph darkness ∝ rate).
+func Gantt(res *Result, segs []Segment, width int) string { return core.RenderGantt(res, segs, width) }
 
 // TimeStats derives time-average statistics (alive count, utilization,
-// busy periods, overload time) from a recorded schedule.
-func TimeStats(res *Result) core.TimeStats { return core.ComputeTimeStats(res) }
+// busy periods, overload time) from a run's recorded rate timeline.
+func TimeStats(res *Result, segs []Segment) core.TimeStats { return core.ComputeTimeStats(res, segs) }
 
 // WeightedLkNorm returns (Σ w_j F_j^k)^{1/k}; zero weights default to 1.
 func WeightedLkNorm(flows, weights []float64, k int) float64 {

@@ -81,18 +81,19 @@ func TestFromSpecMustPanics(t *testing.T) {
 
 func TestFacadeAnalytics(t *testing.T) {
 	in := rrnorm.FromSpecMust("bursts:bursts=2,size=3,period=5", 1)
-	res, err := rrnorm.Simulate(in, "RR", rrnorm.Options{Machines: 2, Speed: 1, RecordSegments: true})
+	var rec rrnorm.SegmentRecorder
+	res, err := rrnorm.Simulate(in, "RR", rrnorm.Options{Machines: 2, Speed: 1, Observer: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := rrnorm.FractionalFlows(res)
+	ff, err := rrnorm.FractionalFlows(res, rec.Segments)
 	if err != nil || len(ff) != in.N() {
 		t.Fatalf("FractionalFlows: %v %v", ff, err)
 	}
-	if g := rrnorm.Gantt(res, 40); len(g) == 0 {
+	if g := rrnorm.Gantt(res, rec.Segments, 40); len(g) == 0 {
 		t.Fatal("empty gantt")
 	}
-	ts := rrnorm.TimeStats(res)
+	ts := rrnorm.TimeStats(res, rec.Segments)
 	if ts.BusyTime <= 0 || ts.AvgAlive <= 0 {
 		t.Fatalf("TimeStats: %+v", ts)
 	}
