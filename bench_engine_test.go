@@ -111,8 +111,8 @@ func TestEngineAllocBudget(t *testing.T) {
 
 // allocModels are the machine models every reference-engine row of
 // TestEngineAllocBudget runs on: the paper's identical machines, related
-// machines (the RatesEnv path and its feasibility check) and a preemption
-// cost (the per-alive charge column).
+// machines (the uniform-machine rules of Policy.Rates and the sorting
+// feasibility check) and a preemption cost (the per-alive charge column).
 var allocModels = []struct {
 	name string
 	mm   core.Machines

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"rrnorm/internal/core"
@@ -102,18 +101,19 @@ func (sc *shardScratch) Reset() { sc.ins = sc.ins[:0] }
 // (consume or Clone it before the next run on ws). Worker workspaces for
 // the shard runs come from the process pool. workers ≤ 0 means GOMAXPROCS;
 // the merged result is byte-identical at every worker count. MaxEvents,
-// Speed and Engine apply per shard.
+// Speed, Engine and a preemption cost apply per shard; machine speeds are
+// rejected with ErrBadOptions, since each shard runs on one machine.
 func RunSharded(ctx context.Context, in *core.Instance, policyName string, opts core.Options, workers int, ws *core.Workspace, obsFor func(shard int) core.Observer) (*core.Result, error) {
 	if !Shardable(policyName) {
 		return nil, fmt.Errorf("%w: %s (want SRPT, SJF or FCFS)", ErrNotShardable, policyName)
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.MachineModel.Heterogeneous() {
+		return nil, fmt.Errorf("%w: sharded runs take no machine speeds: each shard runs on one machine", core.ErrBadOptions)
+	}
 	m := opts.Machines
-	if m < 1 {
-		return nil, fmt.Errorf("%w: Machines=%d", core.ErrBadOptions, m)
-	}
-	if !(opts.Speed > 0) || math.IsInf(opts.Speed, 0) {
-		return nil, fmt.Errorf("%w: Speed=%v", core.ErrBadOptions, opts.Speed)
-	}
 	if opts.Observer != nil {
 		return nil, fmt.Errorf("%w: sharded runs take per-shard observers via obsFor, not Options.Observer", core.ErrBadOptions)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rrnorm/internal/core"
@@ -161,6 +162,16 @@ func TestShardedRejects(t *testing.T) {
 	bad.Speed = math.Inf(1)
 	if _, err := RunSharded(context.Background(), in, "SRPT", bad, 1, nil, nil); !errors.Is(err, core.ErrBadOptions) {
 		t.Fatalf("Speed=+Inf: err=%v, want ErrBadOptions", err)
+	}
+	bad = good
+	bad.MachineModel = core.Machines{Speeds: []float64{1, 3}}
+	_, err := RunSharded(context.Background(), in, "SRPT", bad, 1, nil, nil)
+	if !errors.Is(err, core.ErrBadOptions) || !strings.Contains(err.Error(), "each shard runs on one machine") {
+		t.Fatalf("machine speeds: err=%v, want ErrBadOptions naming the one-machine shards", err)
+	}
+	bad.MachineModel = core.Machines{PreemptCost: 0.5} // a preemption cost alone still runs
+	if _, err := RunSharded(context.Background(), in, "SRPT", bad, 1, nil, nil); err != nil {
+		t.Fatalf("preemption cost: %v", err)
 	}
 	bad = good
 	bad.Observer = metrics.NewStreamNorm(1)

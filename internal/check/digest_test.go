@@ -20,6 +20,7 @@ import (
 	"rrnorm/internal/hunt"
 	"rrnorm/internal/metrics"
 	"rrnorm/internal/policy"
+	"rrnorm/internal/polspec"
 	"rrnorm/internal/stats"
 	"rrnorm/internal/workload"
 )
@@ -32,7 +33,7 @@ import (
 //
 //	go test ./internal/check -run TestFastEngineDigests -update-digests
 
-var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/fast_digests.txt")
+var updateDigests = flag.Bool("update-digests", false, "rewrite the digest files the selected digest tests read")
 
 const digestFile = "testdata/fast_digests.txt"
 
@@ -299,16 +300,38 @@ func TestFastEngineDigests(t *testing.T) {
 			got = append(got, fmt.Sprintf("%s %s/observed %s %s", fam.name, name, mat, str))
 		}
 	}
+	checkDigests(t, digestFile, "# family policy materialized-sha256 streaming-sha256", got)
+}
+
+// checkDigests compares the computed rows with the committed file at path,
+// or, under -update-digests, rewrites the file: header, then one row a
+// line.
+func checkDigests(t *testing.T, path, header string, got []string) {
+	t.Helper()
 	if *updateDigests {
-		body := "# family policy materialized-sha256 streaming-sha256\n" + strings.Join(got, "\n") + "\n"
-		if err := os.WriteFile(digestFile, []byte(body), 0o644); err != nil {
+		body := header + "\n" + strings.Join(got, "\n") + "\n"
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want := readDigests(t)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if len(want) != len(got) {
-		t.Fatalf("%s holds %d rows, the test computes %d", digestFile, len(want), len(got))
+		t.Fatalf("%s holds %d rows, the test computes %d", path, len(want), len(got))
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -317,22 +340,90 @@ func TestFastEngineDigests(t *testing.T) {
 	}
 }
 
-func readDigests(t *testing.T) []string {
-	t.Helper()
-	f, err := os.Open(digestFile)
-	if err != nil {
-		t.Fatal(err)
+// The reference engine's output-bit digests, committed in
+// testdata/ref_digests.txt beside the fast engine's: SETF, LAPS, MLFQ, WRR,
+// HYBRID, WSRPT, WSJF, PROP and GITTINS run only on the reference engine,
+// so these rows are their only identity wall. The same -update-digests
+// flag rewrites the file:
+//
+//	go test ./internal/check -run TestReferenceEngineDigests -update-digests
+const refDigestFile = "testdata/ref_digests.txt"
+
+// refEpochObs hashes every epoch of a reference run, per-job breakdown
+// included.
+type refEpochObs struct{ b *bitHasher }
+
+func (refEpochObs) ObserveArrival(float64, int, core.Job)   {}
+func (refEpochObs) ObserveCompletion(float64, int, float64) {}
+func (refEpochObs) ObserveDone(*core.Result)                {}
+
+func (o refEpochObs) ObserveEpoch(e *core.Epoch) {
+	o.b.float(e.Start)
+	o.b.float(e.End)
+	o.b.int(e.Alive)
+	o.b.float(e.RateSum)
+	o.b.int(len(e.Jobs))
+	for i, j := range e.Jobs {
+		o.b.int(j)
+		o.b.float(e.Rates[i])
 	}
-	defer f.Close()
-	var rows []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
-			rows = append(rows, line)
+	o.b.spill()
+}
+
+// TestReferenceEngineDigests recomputes the reference engine's output-bit
+// digests and compares them with the committed ones: every registered
+// policy, PRIO, and HYBRID and GITTINS with explicit parameters, each on
+// RandomOptions(seed) and on the same options under
+// RandomMachineModel(seed, m), over the 1200-seed random family with
+// weights 1 + ID mod 3 on odd seeds. A row hashes each run's completion
+// and flow bits, Events and every epoch (bounds, Alive, RateSum, Jobs and
+// Rates).
+func TestReferenceEngineDigests(t *testing.T) {
+	// PRIO comes from Policies, which seeds its priorities per input.
+	specs := append(policy.Names(), "PRIO", "HYBRID:theta=0.3,starve=5", "GITTINS:dist=exp,mean=1")
+	ws := core.NewWorkspace()
+	var got []string
+	for _, spec := range specs {
+		var p core.Policy
+		if spec != "PRIO" {
+			var err error
+			if p, err = polspec.New(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, model := range []string{"default", "random-model"} {
+			h := &bitHasher{h: sha256.New()}
+			for seed := uint64(0); seed < 1200; seed++ {
+				in := RandomInstance(seed)
+				if seed%2 == 1 {
+					for i := range in.Jobs {
+						in.Jobs[i].Weight = float64(1 + in.Jobs[i].ID%3)
+					}
+				}
+				opts := RandomOptions(seed)
+				opts.Engine = core.EngineReference
+				if model == "random-model" {
+					opts.MachineModel = RandomMachineModel(seed, opts.Machines)
+				}
+				opts.Observer = refEpochObs{h}
+				run := p
+				if spec == "PRIO" {
+					run = Policies(seed)[4]
+				}
+				res, err := core.RunWS(in, run, opts, ws)
+				if err != nil {
+					t.Fatalf("%s/%s seed %d: %v", spec, model, seed, err)
+				}
+				h.int(len(res.Completion))
+				for j := range res.Completion {
+					h.float(res.Completion[j])
+					h.float(res.Flow[j])
+				}
+				h.int(res.Events)
+				h.flush()
+			}
+			got = append(got, fmt.Sprintf("%s %s %s", spec, model, h.sum()))
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return rows
+	checkDigests(t, refDigestFile, "# policy model sha256", got)
 }

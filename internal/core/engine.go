@@ -55,7 +55,8 @@ func ParseEngineKind(s string) (EngineKind, error) {
 
 // Options configures a simulation run.
 type Options struct {
-	// Machines is m ≥ 1, the number of identical machines.
+	// Machines is m ≥ 1, the number of machines: identical unit-speed ones
+	// unless MachineModel gives their speeds.
 	Machines int
 	// Speed is the resource-augmentation factor s > 0 applied to the
 	// policy's machines: a job with rate ρ accrues work at ρ·s per unit
@@ -65,9 +66,9 @@ type Options struct {
 	// (uniform/related machines) and a preemption cost. The zero value is
 	// the paper's model — Machines identical unit-speed machines, free
 	// preemption — and is bit-identical to the pre-model behavior. With
-	// explicit speeds the policy must implement MachineAware; rates become
-	// work rates bounded by the sorted-speed prefix sums instead of [0,1]
-	// machine shares. See Machines.
+	// explicit speeds, rates become work rates bounded by the sorted-speed
+	// prefix sums instead of [0,1] machine shares (see Policy). See
+	// Machines.
 	MachineModel Machines
 	// MaxEvents bounds the number of engine steps; 0 means a generous
 	// default derived from the instance size.
@@ -90,6 +91,19 @@ type Options struct {
 	// timeline. Use Multi to attach several. See Observer for the callback
 	// contract.
 	Observer Observer
+}
+
+// Validate checks the options every engine entry takes: Machines ≥ 1, a
+// finite positive Speed, then the machine model against Machines. Errors
+// wrap ErrBadOptions.
+func (opts *Options) Validate() error {
+	if opts.Machines < 1 {
+		return fmt.Errorf("%w: Machines=%d", ErrBadOptions, opts.Machines)
+	}
+	if !(opts.Speed > 0) || math.IsInf(opts.Speed, 0) {
+		return fmt.Errorf("%w: Speed=%v", ErrBadOptions, opts.Speed)
+	}
+	return opts.MachineModel.Validate(opts.Machines)
 }
 
 // Segment is a maximal interval [Start, End) during which the alive-job set
@@ -204,13 +218,7 @@ func Run(inst *Instance, policy Policy, opts Options) (*Result, error) {
 // only in how arrivals are pulled and completions recorded — which is what
 // makes the two paths byte-identical by construction.
 func RunWS(inst *Instance, policy Policy, opts Options, ws *Workspace) (*Result, error) {
-	if opts.Machines < 1 {
-		return nil, fmt.Errorf("%w: Machines=%d", ErrBadOptions, opts.Machines)
-	}
-	if !(opts.Speed > 0) || math.IsInf(opts.Speed, 0) {
-		return nil, fmt.Errorf("%w: Speed=%v", ErrBadOptions, opts.Speed)
-	}
-	if err := ValidateMachineOptions(policy, opts); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if ws == nil {
@@ -247,13 +255,7 @@ func RunWS(inst *Instance, policy Policy, opts Options, ws *Workspace) (*Result,
 // reference engine. ws follows the same reuse rules as RunWS; ws == nil
 // allocates a private workspace.
 func RunStream(src JobSource, policy Policy, opts Options, ws *Workspace) (StreamResult, error) {
-	if opts.Machines < 1 {
-		return StreamResult{}, fmt.Errorf("%w: Machines=%d", ErrBadOptions, opts.Machines)
-	}
-	if !(opts.Speed > 0) || math.IsInf(opts.Speed, 0) {
-		return StreamResult{}, fmt.Errorf("%w: Speed=%v", ErrBadOptions, opts.Speed)
-	}
-	if err := ValidateMachineOptions(policy, opts); err != nil {
+	if err := opts.Validate(); err != nil {
 		return StreamResult{}, err
 	}
 	if ws == nil {
@@ -297,11 +299,9 @@ func runReference(cur *Cursor, policy Policy, opts Options, ws *Workspace, res *
 	st.aliveEl = st.aliveEl[:0]
 	st.alivePrev = st.alivePrev[:0]
 	BuildMachineEnv(&opts, &st.env)
-	// hetero selects the generalized rate path; the default model keeps
-	// every expression below verbatim (bit-identical results). ma is
-	// non-nil whenever hetero — ValidateMachineOptions checked it.
-	hetero := !st.env.Identical()
-	ma, _ := policy.(MachineAware)
+	// identical selects the rate check: the [0,1]-share rule of the
+	// paper's model, or the sorted prefix-sum rule on uniform machines.
+	identical := st.env.Identical()
 	pc := opts.MachineModel.PreemptCost
 	var (
 		events = 0
@@ -383,17 +383,15 @@ func runReference(cur *Cursor, policy Policy, opts Options, ws *Workspace, res *
 		for i := range rates {
 			rates[i] = 0
 		}
-		var horizon float64
-		if hetero {
-			horizon = ma.RatesEnv(now, views, &st.env, rates)
-			if err := checkRatesUniform(rates, &st.env, &st.rateSort); err != nil {
-				return fmt.Errorf("%w at t=%v (policy %s): %v", ErrBadRates, now, policy.Name(), err)
-			}
+		horizon := policy.Rates(now, views, &st.env, rates)
+		var err error
+		if identical {
+			err = checkRates(rates, opts.Machines)
 		} else {
-			horizon = policy.Rates(now, views, opts.Machines, opts.Speed, rates)
-			if err := checkRates(rates, opts.Machines); err != nil {
-				return fmt.Errorf("%w at t=%v (policy %s): %v", ErrBadRates, now, policy.Name(), err)
-			}
+			err = checkRatesUniform(rates, &st.env, &st.rateSort)
+		}
+		if err != nil {
+			return fmt.Errorf("%w at t=%v (policy %s): %v", ErrBadRates, now, policy.Name(), err)
 		}
 		if pc > 0 {
 			// Charge preemptions before sizing the step: a job whose rate

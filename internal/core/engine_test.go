@@ -14,8 +14,8 @@ type eqPolicy struct{}
 
 func (eqPolicy) Name() string      { return "eq" }
 func (eqPolicy) Clairvoyant() bool { return false }
-func (eqPolicy) Rates(now float64, jobs []JobView, m int, speed float64, rates []float64) float64 {
-	share := math.Min(1, float64(m)/float64(len(jobs)))
+func (eqPolicy) Rates(now float64, jobs []JobView, env *MachineEnv, rates []float64) float64 {
+	share := env.FairShare(len(jobs))
 	for i := range rates {
 		rates[i] = share
 	}
@@ -27,13 +27,9 @@ type onePolicy struct{}
 
 func (onePolicy) Name() string      { return "one" }
 func (onePolicy) Clairvoyant() bool { return false }
-func (onePolicy) Rates(now float64, jobs []JobView, m int, speed float64, rates []float64) float64 {
-	k := m
-	if len(jobs) < k {
-		k = len(jobs)
-	}
-	for i := 0; i < k; i++ {
-		rates[i] = 1
+func (onePolicy) Rates(now float64, jobs []JobView, env *MachineEnv, rates []float64) float64 {
+	for i := 0; i < min(env.M, len(jobs)); i++ {
+		rates[i] = env.RankSpeed(i)
 	}
 	return NoHorizon
 }
@@ -290,7 +286,7 @@ type zeroPolicy struct{}
 
 func (zeroPolicy) Name() string      { return "zero" }
 func (zeroPolicy) Clairvoyant() bool { return false }
-func (zeroPolicy) Rates(now float64, jobs []JobView, m int, speed float64, rates []float64) float64 {
+func (zeroPolicy) Rates(now float64, jobs []JobView, env *MachineEnv, rates []float64) float64 {
 	return NoHorizon
 }
 
@@ -305,7 +301,7 @@ type overPolicy struct{}
 
 func (overPolicy) Name() string      { return "over" }
 func (overPolicy) Clairvoyant() bool { return false }
-func (overPolicy) Rates(now float64, jobs []JobView, m int, speed float64, rates []float64) float64 {
+func (overPolicy) Rates(now float64, jobs []JobView, env *MachineEnv, rates []float64) float64 {
 	for i := range rates {
 		rates[i] = 1
 	}
@@ -323,7 +319,7 @@ type tinyHorizonPolicy struct{}
 
 func (tinyHorizonPolicy) Name() string      { return "tiny" }
 func (tinyHorizonPolicy) Clairvoyant() bool { return false }
-func (tinyHorizonPolicy) Rates(now float64, jobs []JobView, m int, speed float64, rates []float64) float64 {
+func (tinyHorizonPolicy) Rates(now float64, jobs []JobView, env *MachineEnv, rates []float64) float64 {
 	rates[0] = 1
 	return 1e-9
 }
@@ -386,8 +382,8 @@ type resettingPolicy struct {
 func (p *resettingPolicy) Reset()            { p.resets++ }
 func (p *resettingPolicy) Name() string      { return "resetting" }
 func (p *resettingPolicy) Clairvoyant() bool { return false }
-func (p *resettingPolicy) Rates(now float64, jobs []JobView, m int, speed float64, rates []float64) float64 {
-	for i := 0; i < len(jobs) && i < m; i++ {
+func (p *resettingPolicy) Rates(now float64, jobs []JobView, env *MachineEnv, rates []float64) float64 {
+	for i := 0; i < len(jobs) && i < env.M; i++ {
 		rates[i] = 1
 	}
 	return NoHorizon

@@ -30,6 +30,9 @@ func TestRenderGanttSingleInstant(t *testing.T) {
 // TestRenderGanttSingleInstantEngine drives the same degeneracy through a
 // real engine run: sub-resolution job sizes at big releases make every
 // step zero-length in float64, so the recorded timeline spans one instant.
+// It also pins the one case where the reference engine emits zero-length
+// epochs (core.Observer's contract): every recorded segment has
+// End == Start.
 func TestRenderGanttSingleInstantEngine(t *testing.T) {
 	const big = 1e16
 	in := NewInstance([]Job{
@@ -39,6 +42,14 @@ func TestRenderGanttSingleInstantEngine(t *testing.T) {
 	res, segs := mustRecord(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	if mk := res.Makespan(); mk != big {
 		t.Fatalf("expected single-instant schedule, makespan %v", mk)
+	}
+	if len(segs) == 0 {
+		t.Fatal("no segments recorded")
+	}
+	for i, s := range segs {
+		if s.End != s.Start {
+			t.Fatalf("segment %d spans [%v, %v), want End == Start", i, s.Start, s.End)
+		}
 	}
 	out := RenderGantt(res, segs, 40) // must not panic
 	if !strings.Contains(out, "single-instant") {

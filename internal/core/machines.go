@@ -85,15 +85,15 @@ func (mm *Machines) Clone() Machines {
 	return Machines{Speeds: append([]float64(nil), mm.Speeds...), PreemptCost: mm.PreemptCost}
 }
 
-// MachineEnv is the per-run view of the machine model that machine-aware
-// policies and the engines consult: machine count, augmentation speed,
-// preemption cost, and — for heterogeneous models — the speeds sorted
-// descending with their prefix sums. Engines build one per run on reusable
+// MachineEnv is the per-run view of the machine model that Policy.Rates
+// and the engines consult: machine count, augmentation speed, preemption
+// cost, and — for heterogeneous models — the speeds sorted descending with
+// their prefix sums. Engines build one per run on reusable
 // workspace buffers (BuildMachineEnv), so the heterogeneous hot path stays
 // allocation-free.
 type MachineEnv struct {
-	// M is the machine count and Speed the resource-augmentation factor —
-	// the same values Policy.Rates receives on the identical path.
+	// M is the machine count (Options.Machines) and Speed the
+	// resource-augmentation factor (Options.Speed).
 	M     int
 	Speed float64
 	// PreemptCost mirrors Machines.PreemptCost.
@@ -240,33 +240,6 @@ func (e *MachineEnv) ProfileIntegral(x float64) float64 {
 	}
 	k := int(x)
 	return e.prefix[k] + (x-float64(k))*e.sorted[k]
-}
-
-// MachineAware is the extension interface for policies that can schedule
-// on a heterogeneous (uniform-speed) machine model. When
-// Options.MachineModel carries explicit speeds, the engines call RatesEnv
-// instead of Rates; a policy without it is rejected with ErrBadOptions
-// before the run starts. The rates contract generalizes Policy.Rates:
-// rates[i] is job i's pre-augmentation work rate, each at most the fastest
-// machine's speed, with every sorted-descending prefix sum bounded by the
-// corresponding speed prefix sum (checked by the engine each step).
-type MachineAware interface {
-	RatesEnv(now float64, jobs []JobView, env *MachineEnv, rates []float64) (horizon float64)
-}
-
-// ValidateMachineOptions checks Options.MachineModel against the run's
-// machine count and, for heterogeneous models, that the policy is
-// MachineAware. Both engines call it once per run before any event.
-func ValidateMachineOptions(p Policy, opts Options) error {
-	if err := opts.MachineModel.Validate(opts.Machines); err != nil {
-		return err
-	}
-	if opts.MachineModel.Heterogeneous() {
-		if _, ok := p.(MachineAware); !ok {
-			return fmt.Errorf("%w: policy %s does not support heterogeneous machine speeds", ErrBadOptions, p.Name())
-		}
-	}
-	return nil
 }
 
 // checkRatesUniform validates a heterogeneous-model rate vector: each rate

@@ -19,10 +19,14 @@ package core
 //   - ObserveEpoch fires for every maximal interval [Start, End) over
 //     which the engine's alive set and rates are constant, in
 //     chronological order; epochs never overlap, cover exactly the busy
-//     time, and follow the arrivals at their start time. Zero-length
-//     epochs are never emitted. An epoch-blind run — every attached
-//     observer a CoarseEpochObserver answering true — may receive no
-//     epochs at all: the fast engine makes no ObserveEpoch calls there.
+//     time, and follow the arrivals at their start time. Only the
+//     reference engine emits zero-length (End == Start) epochs, and only
+//     where float64 cannot advance its clock: a step below half an ulp
+//     of the current time, so now + dt == now (sub-resolution job sizes
+//     at releases near 1e16, say); the fast paths never do. An
+//     epoch-blind run — every attached observer a CoarseEpochObserver
+//     answering true — may receive no epochs at all: the fast engine
+//     makes no ObserveEpoch calls there.
 //   - ObserveCompletion fires once per job at its completion time, after
 //     the epoch that completed it.
 //   - ObserveDone fires exactly once, after the final completion, with

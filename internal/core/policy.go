@@ -24,11 +24,19 @@ const NoHorizon = 0
 
 // Policy decides instantaneous machine shares for alive jobs.
 //
-// Rates must fill rates[i] ∈ [0,1] for jobs[i] with Σ rates ≤ m. The slices
-// jobs and rates have equal length; rates arrives zeroed. speed is the
-// engine's resource-augmentation factor (work accrues at rate·speed), which
+// Rates fills rates[i] for jobs[i] on the machines env describes; jobs and
+// rates have equal length and rates arrives zeroed. On identical unit
+// machines (env.Identical(), the paper's model) rates[i] ∈ [0,1] is job
+// i's machine share with Σ rates ≤ env.M. On uniform machines rates[i] is
+// job i's pre-augmentation work rate, at most env.MaxSpeed(), with every
+// sorted-descending prefix sum of the rates bounded by the matching
+// prefix sum of the machine speeds. The engine checks the vector against
+// the model's rule after every call. env.Speed is the engine's
+// resource-augmentation factor (work accrues at rate·speed), which
 // policies need only to convert internal work-based deadlines into the
-// wall-clock horizon they return.
+// wall-clock horizon they return. The env helpers (FairShare, RankSpeed,
+// ProfileIntegral, …) return the paper's expressions on identical
+// machines, so one rule serves both models.
 //
 // The returned horizon, if positive, is the maximum wall-clock duration for
 // which these rates may be used before the policy must be consulted again
@@ -37,11 +45,11 @@ const NoHorizon = 0
 // NoHorizon when rates remain valid until the next arrival or completion.
 //
 // The jobs slice is ordered by (Release, ID) and views are recomputed at
-// every invocation; policies must not retain the slices.
+// every invocation; policies must not retain the slices or env.
 type Policy interface {
 	Name() string
 	Clairvoyant() bool
-	Rates(now float64, jobs []JobView, m int, speed float64, rates []float64) (horizon float64)
+	Rates(now float64, jobs []JobView, env *MachineEnv, rates []float64) (horizon float64)
 }
 
 // Resetter is implemented by stateful policies (e.g. MLFQ) that must be

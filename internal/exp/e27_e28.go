@@ -14,8 +14,8 @@ import (
 // normsUnderModel runs the named policy on in under the given machine model
 // and returns the streaming ℓ1/ℓ2/ℓ3 flow norms from one pass. The engine is
 // cfg-selected as everywhere else in the suite: RR keeps its fast path under
-// heterogeneous speeds, rank-based policies fall back to the reference engine
-// via their MachineAware rates.
+// heterogeneous speeds, rank-based policies fall back to the reference
+// engine, whose Policy.Rates call applies their uniform-machine rules.
 func normsUnderModel(cfg Config, in *core.Instance, name string, m int, mm core.Machines) ([3]float64, error) {
 	var out [3]float64
 	p, err := policy.New(name)

@@ -30,7 +30,6 @@ package fast
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"rrnorm/internal/core"
 	"rrnorm/internal/policy"
@@ -105,13 +104,7 @@ func RunWS(in *core.Instance, p core.Policy, opts core.Options, ws *core.Workspa
 		return core.RunWS(in, p, opts, ws)
 	}
 	// Same input contract as core.Run.
-	if opts.Machines < 1 {
-		return nil, fmt.Errorf("%w: Machines=%d", core.ErrBadOptions, opts.Machines)
-	}
-	if !(opts.Speed > 0) || math.IsInf(opts.Speed, 0) {
-		return nil, fmt.Errorf("%w: Speed=%v", core.ErrBadOptions, opts.Speed)
-	}
-	if err := core.ValidateMachineOptions(p, opts); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if ws == nil {
@@ -162,13 +155,7 @@ func RunStream(src core.JobSource, p core.Policy, opts core.Options, ws *core.Wo
 		return core.RunStream(src, p, opts, ws)
 	}
 	// Same input contract as core.RunStream.
-	if opts.Machines < 1 {
-		return core.StreamResult{}, fmt.Errorf("%w: Machines=%d", core.ErrBadOptions, opts.Machines)
-	}
-	if !(opts.Speed > 0) || math.IsInf(opts.Speed, 0) {
-		return core.StreamResult{}, fmt.Errorf("%w: Speed=%v", core.ErrBadOptions, opts.Speed)
-	}
-	if err := core.ValidateMachineOptions(p, opts); err != nil {
+	if err := opts.Validate(); err != nil {
 		return core.StreamResult{}, err
 	}
 	if ws == nil {
@@ -203,7 +190,7 @@ func dispatch(p core.Policy, cur *core.Cursor, res *core.Result, sum *core.Strea
 		if res != nil {
 			return runRRMat(res, opts, s)
 		}
-		r := rrRun{cur: cur, sum: sum, h: &s.rrHeap, m: opts.Machines, speed: opts.Speed, obs: opts.Observer, ep: &s.epoch, env: &s.env, hetero: !s.env.Identical()}
+		r := rrRun{cur: cur, sum: sum, h: &s.rrHeap, speed: opts.Speed, env: &s.env, obs: opts.Observer, ep: &s.epoch}
 		return runRRStream(&r, opts, s)
 	case *policy.SRPT:
 		s.prepareTopM(ordSRPT, opts.Speed)

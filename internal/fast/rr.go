@@ -9,13 +9,13 @@ import (
 // virtual-time ("fair share") accounting.
 //
 // Under RR every alive job accrues work at the identical rate
-// ρ(t) = min{1, m/n_t}·s, so with V(t) = ∫ ρ(τ) dτ (the cumulative fair
-// share) a job admitted at time t₀ with size p completes exactly when V
-// reaches V(t₀) + p. Arrivals and completions are therefore the only
-// events: the next completion is the smallest completion target in a
-// min-heap, and between consecutive events ρ is constant, so each event
-// costs O(log alive) instead of the reference engine's O(n_t) rate
-// recomputation.
+// ρ(t) = FairShare(n_t)·s — min{1, m/n_t}·s on identical machines — so
+// with V(t) = ∫ ρ(τ) dτ (the cumulative fair share) a job admitted at time
+// t₀ with size p completes exactly when V reaches V(t₀) + p. Arrivals and
+// completions are therefore the only events: the next completion is the
+// smallest completion target in a min-heap, and between consecutive events
+// ρ is constant, so each event costs O(log alive) instead of the reference
+// engine's O(n_t) rate recomputation.
 //
 // dispatch picks one of two bulk-advance drains by sink, which produce
 // byte-identical output (same floating-point expressions, same event
@@ -48,14 +48,8 @@ type rrRun struct {
 	h     *queue.JobHeap
 	now   float64
 	V     float64 // cumulative per-job fair share
-	m     int
 	speed float64
-
-	// env/hetero select the generalized fair share on uniform machines
-	// (env.FairShare in place of min(1, m/alive)); the identical path keeps
-	// its historical expressions verbatim.
-	env    *core.MachineEnv
-	hetero bool
+	env   *core.MachineEnv // the run's machines: epoch rate sums (env.RRSum)
 
 	obs core.Observer // nil when no observer attached
 	ep  *core.Epoch   // workspace-held epoch for allocation-free dispatch
@@ -113,17 +107,7 @@ func (r *rrRun) finish(seq int, release, t float64) {
 // epoch emits the rate-constant interval [r.now, end) to the observer.
 func (r *rrRun) epoch(end float64) {
 	alive := r.h.Len()
-	emitEpoch(r.obs, r.ep, r.now, end, alive, r.rateSum(alive))
-}
-
-// rateSum is an epoch's pre-speed rate sum. Under RR every alive job
-// shares min(1, m/alive) of a machine, so the sum is min(alive, m); on
-// uniform machines it is alive·FairShare(alive) (env.RRSum).
-func (r *rrRun) rateSum(alive int) float64 {
-	if r.hetero {
-		return r.env.RRSum(alive)
-	}
-	return identicalRateSum(alive, r.m)
+	emitEpoch(r.obs, r.ep, r.now, end, alive, r.env.RRSum(alive))
 }
 
 // rrMat is the batched materialized RR sweep: per-job state lives in
@@ -138,33 +122,19 @@ type rrMat struct {
 	jobs  []core.Job
 	h     *queue.PairHeap
 	rt    [][2]float64 // {release, core.CompletionTol} column, written at admission, read at completion
-	ratio *[rateTabSize]float64
-	i     int // next arrival: index into jobs == sequence number
+	i     int          // next arrival: index into jobs == sequence number
 	now   float64
 	V     float64
-	m     int
 	speed float64
 
-	// shares/env/hetero are the heterogeneous-model rate source: under
-	// explicit machine speeds rate = speed·shares[alive] for every alive
-	// count (table entries are exactly env.FairShare bits; counts beyond the
-	// table fall back to the inline call). nil/false on the default model,
-	// whose expressions below are untouched.
+	// shares is the rate source: rate = speed·shares[alive] (table entries
+	// are exactly env.FairShare bits; counts beyond the table fall back to
+	// the inline call), and env.RRSum gives the epochs' rate sums.
 	shares *[rateTabSize]float64
 	env    *core.MachineEnv
-	hetero bool
 
 	obs core.Observer
 	ep  *core.Epoch
-}
-
-// rateSum is the epoch rate-sum helper (identical min(alive, m) or the
-// generalized alive·FairShare(alive)).
-func (r *rrMat) rateSum(alive int) float64 {
-	if r.hetero {
-		return r.env.RRSum(alive)
-	}
-	return identicalRateSum(alive, r.m)
 }
 
 // finish records one completion into the materialized result.
@@ -228,9 +198,7 @@ func (r *rrMat) run(opts core.Options) error {
 	r.complete()
 	events := 1
 	h := r.h
-	m, speed := r.m, r.speed
-	ratio := r.ratio
-	hetero, shares := r.hetero, r.shares
+	speed, shares := r.speed, r.shares
 	rt := r.rt
 	res, obs := r.res, r.obs
 	epochs := !core.ObserverCoarseEpochsOK(obs)
@@ -244,24 +212,14 @@ func (r *rrMat) run(opts core.Options) error {
 		// beat them, until the heap empties.
 		for h.Len() > 0 {
 			alive := h.Len()
-			// rate = speed · min(1, m/alive); the m/alive quotient comes
-			// from the scratch's bit-exact table (see rateRatios) — a load
-			// in place of a hardware divide on the critical path. Under a
-			// heterogeneous model the share table generalizes to
-			// env.FairShare(alive) for every alive count (see fairShares).
-			rate := speed
-			if hetero {
-				if alive < rateTabSize {
-					rate = speed * shares[alive]
-				} else {
-					rate = speed * r.env.FairShare(alive)
-				}
-			} else if alive > m {
-				if alive < rateTabSize {
-					rate *= ratio[alive]
-				} else {
-					rate *= float64(m) / float64(alive)
-				}
+			// rate = speed · env.FairShare(alive), the share coming from
+			// the scratch's bit-exact table (see fairShares) — a load in
+			// place of a hardware divide on the critical path.
+			var rate float64
+			if alive < rateTabSize {
+				rate = speed * shares[alive]
+			} else {
+				rate = speed * r.env.FairShare(alive)
 			}
 			_, minKey := h.Min()
 			tC := r.now + (minKey-r.V)/rate
@@ -277,7 +235,7 @@ func (r *rrMat) run(opts core.Options) error {
 					}
 				}
 				if epochs {
-					emitEpoch(r.obs, r.ep, r.now, tA, alive, r.rateSum(alive))
+					emitEpoch(r.obs, r.ep, r.now, tA, alive, r.env.RRSum(alive))
 				}
 				r.V += (tA - r.now) * rate
 				r.now = tA
@@ -315,7 +273,7 @@ func (r *rrMat) run(opts core.Options) error {
 				}
 			}
 			if epochs {
-				emitEpoch(r.obs, r.ep, r.now, tC, alive, r.rateSum(alive))
+				emitEpoch(r.obs, r.ep, r.now, tC, alive, r.env.RRSum(alive))
 			}
 			r.V = minKey
 			r.now = tC
@@ -376,17 +334,11 @@ func runRRMat(res *core.Result, opts core.Options, s *scratch) error {
 		jobs:   res.Jobs,
 		h:      &s.rrPair,
 		rt:     sizedPairs(&s.soaRelTol, n),
-		m:      opts.Machines,
 		speed:  opts.Speed,
+		shares: (*[rateTabSize]float64)(s.fairShares(&s.env)),
 		env:    &s.env,
-		hetero: !s.env.Identical(),
 		obs:    opts.Observer,
 		ep:     &s.epoch,
-	}
-	if mr.hetero {
-		mr.shares = (*[rateTabSize]float64)(s.fairShares(mr.env))
-	} else {
-		mr.ratio = (*[rateTabSize]float64)(s.rateRatios(mr.m))
 	}
 	return mr.run(opts)
 }
@@ -407,14 +359,8 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 	r.complete()
 	events := 1
 	h := r.h
-	m, speed := r.m, r.speed
-	hetero := r.hetero
-	var ratio, shares *[rateTabSize]float64
-	if hetero {
-		shares = (*[rateTabSize]float64)(s.fairShares(r.env))
-	} else {
-		ratio = (*[rateTabSize]float64)(s.rateRatios(m))
-	}
+	speed := r.speed
+	shares := (*[rateTabSize]float64)(s.fairShares(r.env))
 	epochs := !core.ObserverCoarseEpochsOK(r.obs)
 	for {
 		hasA := cur.More()
@@ -427,19 +373,11 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 		}
 		for h.Len() > 0 {
 			alive := h.Len()
-			rate := speed
-			if hetero {
-				if alive < rateTabSize {
-					rate = speed * shares[alive]
-				} else {
-					rate = speed * r.env.FairShare(alive)
-				}
-			} else if alive > m {
-				if alive < rateTabSize {
-					rate *= ratio[alive]
-				} else {
-					rate *= float64(m) / float64(alive)
-				}
+			var rate float64
+			if alive < rateTabSize {
+				rate = speed * shares[alive]
+			} else {
+				rate = speed * r.env.FairShare(alive)
 			}
 			minKey := h.Min().Key
 			tC := r.now + (minKey-r.V)/rate

@@ -37,28 +37,20 @@ type scratch struct {
 	rrPair    queue.PairHeap
 	soaRelTol [][2]float64
 
-	// ratio caches float64(m)/float64(alive) for alive in [1, rateTabSize):
-	// the RR drain recomputes that quotient on every event, and a table
-	// lookup replaces a hardware divide on the critical path of the next
-	// completion time. Each entry holds the bit-exact division result, so
-	// table and inline quotient are interchangeable. ratioM is the m the
-	// table was built for (0 = never built).
-	ratio  []float64
-	ratioM int
-
-	// shares caches env.FairShare(alive) for alive in [1, rateTabSize) under
-	// a heterogeneous machine model — the generalization of ratio: RR's
-	// per-job rate is speed·shares[alive] for every alive count, not just
-	// alive > m. sharesM/sharesSpeeds are the cache key (0/nil = never
-	// built). Entries hold the exact bits env.FairShare produces, so table
-	// and inline call are interchangeable in the drains.
+	// shares caches env.FairShare(alive) for alive in [1, rateTabSize): RR's
+	// per-job rate is speed·shares[alive], and the RR drains need it on
+	// every event, so a table lookup replaces a hardware divide on the
+	// critical path of the next completion time. sharesM/sharesSpeeds are
+	// the cache key (0 = never built; nil speeds = identical machines).
+	// Entries hold the exact bits env.FairShare produces, so table and
+	// inline call are interchangeable in the drains.
 	shares       []float64
 	sharesM      int
 	sharesSpeeds []float64
 
 	// env is the run's machine environment, rebuilt by dispatch on reused
-	// buffers (core.BuildMachineEnv); the RR paths consult it for
-	// heterogeneous fair shares and epoch rate sums.
+	// buffers (core.BuildMachineEnv); the RR paths consult it for fair
+	// shares and epoch rate sums.
 	env core.MachineEnv
 
 	ord     ordering
@@ -118,46 +110,17 @@ func emitEpoch(obs core.Observer, ep *core.Epoch, start, end float64, alive int,
 	obs.ObserveEpoch(ep)
 }
 
-// identicalRateSum is RR's pre-augmentation total rate min(alive, m) on
-// identical unit machines — the historical expression, kept verbatim for
-// the default-model paths.
-func identicalRateSum(alive, m int) float64 {
-	if alive > m {
-		return float64(m)
-	}
-	return float64(alive)
-}
-
-// rateTabSize bounds the cached m/alive ratio table. 1024 entries cover
+// rateTabSize bounds the cached fair-share table. 1024 entries cover
 // every alive count seen outside pathological bursts; larger counts fall
-// back to the inline divide.
+// back to the inline env.FairShare call.
 const rateTabSize = 1024
 
-// rateRatios returns the m/alive quotient table for m, rebuilding it only
-// when m changed since the last run on this scratch. Entry a holds exactly
-// float64(m)/float64(a) — the same IEEE-754 division the drain would
-// perform inline — so substituting a lookup cannot perturb a single bit of
-// the event times.
-func (s *scratch) rateRatios(m int) []float64 {
-	if s.ratioM == m && len(s.ratio) == rateTabSize {
-		return s.ratio
-	}
-	if cap(s.ratio) < rateTabSize {
-		s.ratio = make([]float64, rateTabSize)
-	}
-	s.ratio = s.ratio[:rateTabSize]
-	fm := float64(m)
-	for a := 1; a < rateTabSize; a++ {
-		s.ratio[a] = fm / float64(a)
-	}
-	s.ratioM = m
-	return s.ratio
-}
-
-// fairShares returns the generalized fair-share table for a heterogeneous
-// env: entry a holds exactly env.FairShare(a). Rebuilt only when the
-// machine count or speed vector changed since the last run on this scratch,
-// so steady-state heterogeneous runs stay allocation-free.
+// fairShares returns the fair-share table for env: entry a holds exactly
+// env.FairShare(a) — on identical machines math.Min(1, m/a), the same
+// IEEE-754 division the drain would perform inline, so a lookup cannot
+// perturb a single bit of the event times. Rebuilt only when the machine
+// count or speed vector changed since the last run on this scratch, so
+// steady-state runs stay allocation-free.
 func (s *scratch) fairShares(env *core.MachineEnv) []float64 {
 	sp := env.SortedSpeeds()
 	if s.sharesM == env.M && len(s.shares) == rateTabSize && slices.Equal(s.sharesSpeeds, sp) {

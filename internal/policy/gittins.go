@@ -111,19 +111,12 @@ func (*Gittins) Name() string { return "GITTINS" }
 // not individual sizes, so it is non-clairvoyant in the paper's sense.
 func (*Gittins) Clairvoyant() bool { return false }
 
-// Rates implements core.Policy.
-func (g *Gittins) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	g.order(jobs).topM(m, rates)
-	// Ranks drift with attained service; re-plan on a coarse horizon
-	// proportional to the grid step so crossings are caught promptly.
-	return 4 * g.step / math.Max(speed, 1e-9)
-}
-
-// RatesEnv implements core.MachineAware: the job with the i-th highest
-// Gittins index runs on the i-th fastest machine; the review horizon is
-// scaled to the fastest machine so grid crossings are still caught.
-func (g *Gittins) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	g.order(jobs).topMEnv(env, rates)
+// Rates implements core.Policy: the job with the i-th highest Gittins
+// index runs on the i-th fastest machine. Ranks drift with attained
+// service, so Rates re-plans on a coarse horizon proportional to the grid
+// step, scaled to the fastest machine so crossings are caught promptly.
+func (g *Gittins) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	g.order(jobs).topM(env, rates)
 	return 4 * g.step / math.Max(env.MaxSpeed()*env.Speed, 1e-9)
 }
 

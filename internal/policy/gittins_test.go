@@ -91,8 +91,8 @@ func TestGittinsIsNonclairvoyant(t *testing.T) {
 	alt[1].Size, alt[1].Remaining = 2.0, 0.05
 	a := make([]float64, 2)
 	b := make([]float64, 2)
-	h1 := g.Rates(2, jobs, 1, 1, a)
-	h2 := g.Rates(2, alt, 1, 1, b)
+	h1 := g.Rates(2, jobs, unit(1), a)
+	h2 := g.Rates(2, alt, unit(1), b)
 	if h1 != h2 || a[0] != b[0] || a[1] != b[1] {
 		t.Fatal("Gittins decisions depend on true sizes")
 	}

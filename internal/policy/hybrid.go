@@ -117,32 +117,20 @@ func (p *Hybrid) srptOrder(jobs []core.JobView) []int {
 	return s.idx
 }
 
-// rankCap is the capacity of the r-th ranked job's machine: a full machine
-// for r < m on identical machines (env == nil), the r-th fastest speed
-// under a heterogeneous env.
-func rankCap(r, m int, env *core.MachineEnv) float64 {
-	if env != nil {
-		return env.RankSpeed(r)
-	}
-	if r < m {
-		return 1
-	}
-	return 0
-}
-
-// blend writes the convex-combination rates given the SRPT ranking and the
-// machines (m identical ones, or env when non-nil), then returns the
-// re-plan horizon.
-func (p *Hybrid) blend(jobs []core.JobView, order []int, m int, env *core.MachineEnv, speed float64, rates []float64) float64 {
+// Rates implements core.Policy: each ranking assigns its r-th job the r-th
+// machine's capacity, env.RankSpeed(r), before blending; the returned
+// horizon is the earliest moment the SRPT ranking can change.
+func (p *Hybrid) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	order := p.srptOrder(jobs)
 	n := len(jobs)
 	θ := p.Theta
 	// FCFS rank of job i is i: the engine provides jobs in (Release, ID)
 	// order (the same assumption LAPS makes).
 	for i := 0; i < n; i++ {
-		rates[i] = θ * rankCap(i, m, env)
+		rates[i] = θ * env.RankSpeed(i)
 	}
 	for r, i := range order {
-		rates[i] += (1 - θ) * rankCap(r, m, env)
+		rates[i] += (1 - θ) * env.RankSpeed(r)
 	}
 
 	horizon := math.Inf(1)
@@ -170,7 +158,7 @@ func (p *Hybrid) blend(jobs []core.JobView, order []int, m int, env *core.Machin
 			continue
 		}
 		gap := jobs[b].Remaining - jobs[a].Remaining
-		if h := gap / (dRate * speed); h > 1e-12 && h < horizon {
+		if h := gap / (dRate * env.Speed); h > 1e-12 && h < horizon {
 			horizon = h
 		}
 	}
@@ -178,15 +166,4 @@ func (p *Hybrid) blend(jobs []core.JobView, order []int, m int, env *core.Machin
 		return core.NoHorizon
 	}
 	return horizon
-}
-
-// Rates implements core.Policy.
-func (p *Hybrid) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	return p.blend(jobs, p.srptOrder(jobs), m, nil, speed, rates)
-}
-
-// RatesEnv implements core.MachineAware: each ranking assigns its r-th job
-// the r-th fastest machine's speed before blending.
-func (p *Hybrid) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	return p.blend(jobs, p.srptOrder(jobs), 0, env, env.Speed, rates)
 }

@@ -28,8 +28,8 @@ func randomViews(rng *rand.Rand, n int, now float64) []core.JobView {
 }
 
 // TestHybridEndpoints pins the convex-combination contract: Theta = 0 is
-// rate-for-rate SRPT and Theta = 1 is rate-for-rate FCFS, on the identical
-// path and on a heterogeneous machine env alike.
+// rate-for-rate SRPT and Theta = 1 is rate-for-rate FCFS, on identical
+// machines and on uniform ones alike.
 func TestHybridEndpoints(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	for trial := 0; trial < 50; trial++ {
@@ -37,11 +37,6 @@ func TestHybridEndpoints(t *testing.T) {
 		m := 1 + rng.IntN(3)
 		now := 5 + rng.Float64()*10
 		jobs := randomViews(rng, n, now)
-
-		opts := core.Options{Machines: m, Speed: 1,
-			MachineModel: core.Machines{Speeds: []float64{4, 2, 1}[:m]}}
-		var env core.MachineEnv
-		core.BuildMachineEnv(&opts, &env)
 
 		cases := []struct {
 			theta float64
@@ -52,24 +47,16 @@ func TestHybridEndpoints(t *testing.T) {
 		}
 		for _, tc := range cases {
 			h := NewHybrid(tc.theta, 0)
-			got := make([]float64, n)
-			want := make([]float64, n)
-
-			h.Rates(now, jobs, m, 1, got)
-			tc.ref.Rates(now, jobs, m, 1, want)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d θ=%g identical: rate[%d] = %v, %s gives %v",
-						trial, tc.theta, i, got[i], tc.ref.Name(), want[i])
-				}
-			}
-
-			h.RatesEnv(now, jobs, &env, got)
-			tc.ref.(core.MachineAware).RatesEnv(now, jobs, &env, want)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d θ=%g hetero: rate[%d] = %v, %s gives %v",
-						trial, tc.theta, i, got[i], tc.ref.Name(), want[i])
+			for _, env := range []*core.MachineEnv{unit(m), uniform(m)} {
+				got := make([]float64, n)
+				want := make([]float64, n)
+				h.Rates(now, jobs, env, got)
+				tc.ref.Rates(now, jobs, env, want)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d θ=%g identical=%v: rate[%d] = %v, %s gives %v",
+							trial, tc.theta, env.Identical(), i, got[i], tc.ref.Name(), want[i])
+					}
 				}
 			}
 		}
@@ -89,13 +76,13 @@ func TestHybridStarvationPromotion(t *testing.T) {
 	rates := make([]float64, 2)
 
 	starving := NewHybrid(0, 0) // no mitigation: SRPT starves the big job
-	starving.Rates(now, jobs, 1, 1, rates)
+	starving.Rates(now, jobs, unit(1), rates)
 	if rates[0] != 0 || rates[1] != 1 {
 		t.Fatalf("θ=0 without mitigation: rates %v, want [0 1]", rates)
 	}
 
 	mitigated := NewHybrid(0, 8) // the big job's age 10 ≥ 8: promoted
-	mitigated.Rates(now, jobs, 1, 1, rates)
+	mitigated.Rates(now, jobs, unit(1), rates)
 	if rates[0] != 1 || rates[1] != 0 {
 		t.Fatalf("θ=0 with Starve=8: rates %v, want [1 0]", rates)
 	}
@@ -103,7 +90,7 @@ func TestHybridStarvationPromotion(t *testing.T) {
 	// Before the threshold the promotion horizon is the time left to reach
 	// it, so the engine re-plans exactly at the promotion instant.
 	early := NewHybrid(0, 12)
-	if h := early.Rates(now, jobs, 1, 1, rates); h != 2 {
+	if h := early.Rates(now, jobs, unit(1), rates); h != 2 {
 		t.Fatalf("promotion horizon: got %v, want 2 (age 10 → threshold 12)", h)
 	}
 }
@@ -121,10 +108,10 @@ func TestHybridClairvoyant(t *testing.T) {
 		{ID: 1, Release: 1, Age: 4, Remaining: 2, Size: 2},
 	}
 	r1 := make([]float64, 2)
-	h.Rates(now, jobs, 1, 1, r1)
+	h.Rates(now, jobs, unit(1), r1)
 	jobs[0].Remaining, jobs[1].Remaining = jobs[1].Remaining, jobs[0].Remaining
 	r2 := make([]float64, 2)
-	h.Rates(now, jobs, 1, 1, r2)
+	h.Rates(now, jobs, unit(1), r2)
 	if r1[0] == r2[0] && r1[1] == r2[1] {
 		t.Fatalf("swapping Remaining left rates unchanged (%v): HYBRID is not reading sizes", r1)
 	}

@@ -34,29 +34,9 @@ func (*LAPS) Name() string { return "LAPS" }
 // Clairvoyant implements core.Policy.
 func (*LAPS) Clairvoyant() bool { return false }
 
-// Rates implements core.Policy.
-func (p *LAPS) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	n := len(jobs)
-	g := int(math.Ceil(p.Beta * float64(n)))
-	if g < 1 {
-		g = 1
-	}
-	if g > n {
-		g = n
-	}
-	share := math.Min(1, float64(m)/float64(g))
-	// jobs are ordered by (Release, ID); the latest g arrivals are the
-	// suffix. Ties at the boundary release share the suffix deterministically
-	// by ID, matching the engine's ordering.
-	for i := n - g; i < n; i++ {
-		rates[i] = share
-	}
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware: the ⌈β·n⌉ latest arrivals share
-// the machines at RR's generalized fair share for a group of their size.
-func (p *LAPS) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+// Rates implements core.Policy: the ⌈β·n⌉ latest arrivals share the
+// machines at RR's fair share for a group of their size, env.FairShare(g).
+func (p *LAPS) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	n := len(jobs)
 	g := int(math.Ceil(p.Beta * float64(n)))
 	if g < 1 {
@@ -66,6 +46,9 @@ func (p *LAPS) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, 
 		g = n
 	}
 	share := env.FairShare(g)
+	// jobs are ordered by (Release, ID); the latest g arrivals are the
+	// suffix. Ties at the boundary release share the suffix deterministically
+	// by ID, matching the engine's ordering.
 	for i := n - g; i < n; i++ {
 		rates[i] = share
 	}

@@ -45,10 +45,12 @@ func (p *MLFQ) levelEnd(q int) float64 {
 	return p.BaseQuantum * (math.Pow(2, float64(q+1)) - 1)
 }
 
-// Rates implements core.Policy.
-func (p *MLFQ) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.order(jobs).topM(m, rates)
-	return p.demotion(jobs, rates, speed)
+// Rates implements core.Policy: lower levels have strict priority, with
+// the k-th ranked job on the k-th fastest machine; the demotion horizon
+// accounts for each job's machine-dependent work rate.
+func (p *MLFQ) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	p.order(jobs).topM(env, rates)
+	return p.demotion(jobs, rates, env.Speed)
 }
 
 // order ranks jobs by queue level, then release, then ID. The level column
@@ -83,12 +85,4 @@ func (p *MLFQ) demotion(jobs []core.JobView, rates []float64, speed float64) flo
 		return core.NoHorizon
 	}
 	return horizon
-}
-
-// RatesEnv implements core.MachineAware: lower levels still have strict
-// priority, with the k-th ranked job on the k-th fastest machine; the
-// demotion horizon accounts for each job's machine-dependent work rate.
-func (p *MLFQ) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.order(jobs).topMEnv(env, rates)
-	return p.demotion(jobs, rates, env.Speed)
 }

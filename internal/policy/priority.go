@@ -40,16 +40,10 @@ func (p *StaticPriority) PriorityOf(id int) float64 {
 // knowledge, so it is classified clairvoyant).
 func (*StaticPriority) Clairvoyant() bool { return true }
 
-// Rates implements core.Policy.
-func (p *StaticPriority) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.order(jobs).topM(m, rates)
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware: the k-th ranked job runs on the
-// k-th fastest machine.
-func (p *StaticPriority) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.order(jobs).topMEnv(env, rates)
+// Rates implements core.Policy: the k-th ranked job runs on the k-th
+// fastest machine.
+func (p *StaticPriority) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	p.order(jobs).topM(env, rates)
 	return core.NoHorizon
 }
 

@@ -60,19 +60,10 @@ func (s *byKey) sort() []int {
 	return s.idx
 }
 
-// topM ranks the jobs and assigns rate 1 to the first min(m, n).
-func (s *byKey) topM(m int, rates []float64) {
-	idx := s.sort()
-	for i := 0; i < min(m, len(idx)); i++ {
-		rates[idx[i]] = 1
-	}
-}
-
-// topMEnv is topM generalized to a heterogeneous machine environment: the
-// i-th ranked job runs on the i-th fastest machine (rate env.RankSpeed(i)
-// instead of 1). With identical unit machines it assigns exactly what topM
-// does.
-func (s *byKey) topMEnv(env *core.MachineEnv, rates []float64) {
+// topM ranks the jobs and runs the i-th ranked job on the i-th fastest
+// machine, rate env.RankSpeed(i), for the first min(m, n): rate 1 each on
+// identical unit machines.
+func (s *byKey) topM(env *core.MachineEnv, rates []float64) {
 	idx := s.sort()
 	for i := 0; i < min(env.M, len(idx)); i++ {
 		rates[idx[i]] = env.RankSpeed(i)
@@ -99,6 +90,20 @@ func (b *shareBuf) column(n int) []float64 {
 	return b.weights
 }
 
+// fill writes the weight-proportional rates for the weight column w. On
+// identical machines waterfill caps each job at one machine and
+// redistributes the excess; on uniform machines propFillEnv takes the
+// largest uniform scaling the speed profile allows, without
+// redistribution. The two differ on identical machines whenever a cap
+// binds, so the rule is chosen by model.
+func (b *shareBuf) fill(w []float64, env *core.MachineEnv, rates []float64) {
+	if env.Identical() {
+		waterfill(w, math.Min(float64(env.M), float64(len(w))), rates, b.capped)
+		return
+	}
+	propFillEnv(w, env, rates, &b.desc)
+}
+
 // byWeightDesc orders a permutation of weight indices by weight, largest
 // first, for sort.Stable.
 type byWeightDesc struct {
@@ -110,15 +115,15 @@ func (s *byWeightDesc) Len() int           { return len(s.idx) }
 func (s *byWeightDesc) Swap(x, y int)      { s.idx[x], s.idx[y] = s.idx[y], s.idx[x] }
 func (s *byWeightDesc) Less(x, y int) bool { return s.w[s.idx[x]] > s.w[s.idx[y]] }
 
-// propFillEnv is the heterogeneous-machine proportional share: rates are
+// propFillEnv is the uniform-machine proportional share: rates are
 // λ·w_i for the largest λ feasible on the speed profile — every
 // sorted-descending weight prefix W_k must satisfy λ·W_k ≤ (speed of the k
-// fastest machines), and the total λ·W_n ≤ Σ speeds. Unlike the identical
-// path's waterfill it does not redistribute past a binding constraint (the
-// caps here are chords of the speed profile, not per-job constants), but it
-// degenerates exactly: with all weights equal the rate is RR's generalized
-// fair share, and zero-weight jobs get nothing unless every weight is zero,
-// in which case capacity splits equally.
+// fastest machines), and the total λ·W_n ≤ Σ speeds. Unlike waterfill
+// (which fill runs on identical machines) it does not redistribute past a
+// binding constraint (the caps here are chords of the speed profile, not
+// per-job constants), but it degenerates exactly: with all weights equal
+// the rate is RR's generalized fair share, and zero-weight jobs get nothing
+// unless every weight is zero, in which case capacity splits equally.
 func propFillEnv(weights []float64, env *core.MachineEnv, rates []float64, desc *byWeightDesc) {
 	n := len(weights)
 	if n == 0 {

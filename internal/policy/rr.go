@@ -9,11 +9,7 @@
 // JobView.Size or JobView.Remaining; this is verified by property tests.
 package policy
 
-import (
-	"math"
-
-	"rrnorm/internal/core"
-)
+import "rrnorm/internal/core"
 
 // RR is Round Robin, the paper's subject: at any time every alive job
 // receives rate min{1, m/n_t}, where n_t is the number of alive jobs
@@ -29,22 +25,14 @@ func (RR) Name() string { return "RR" }
 // Clairvoyant implements core.Policy.
 func (RR) Clairvoyant() bool { return false }
 
-// Rates implements core.Policy.
-func (RR) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	share := math.Min(1, float64(m)/float64(len(jobs)))
-	for i := range rates {
-		rates[i] = share
-	}
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware: on uniform machines every alive
-// job receives the equal fair share prefix[min(n,m)]/n — the n fastest
-// machines time-shared equally when n ≤ m, the full capacity Σspeeds split
-// n ways otherwise (see core.MachineEnv.FairShare for the water-filling
+// Rates implements core.Policy: every alive job receives
+// env.FairShare(n) — min{1, m/n} on identical machines, and on uniform
+// machines the equal share prefix[min(n,m)]/n, the n fastest machines
+// time-shared equally when n ≤ m and the full capacity Σspeeds split n
+// ways otherwise (see core.MachineEnv.FairShare for the water-filling
 // derivation). RR stays instantaneously fair and never preempts: every
 // alive job's rate is positive at all times.
-func (RR) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+func (RR) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	share := env.FairShare(len(jobs))
 	for i := range rates {
 		rates[i] = share

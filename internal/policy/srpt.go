@@ -28,16 +28,10 @@ func (p *SRPT) order(jobs []core.JobView) *byKey {
 	return &p.rank
 }
 
-// Rates implements core.Policy.
-func (p *SRPT) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.order(jobs).topM(m, rates)
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware: the k-th shortest job runs on the
-// k-th fastest machine.
-func (p *SRPT) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.order(jobs).topMEnv(env, rates)
+// Rates implements core.Policy: the k-th shortest job runs on the k-th
+// fastest machine.
+func (p *SRPT) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	p.order(jobs).topM(env, rates)
 	return core.NoHorizon
 }
 
@@ -66,14 +60,8 @@ func (p *SJF) order(jobs []core.JobView) *byKey {
 }
 
 // Rates implements core.Policy.
-func (p *SJF) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.order(jobs).topM(m, rates)
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware.
-func (p *SJF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.order(jobs).topMEnv(env, rates)
+func (p *SJF) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	p.order(jobs).topM(env, rates)
 	return core.NoHorizon
 }
 
@@ -99,17 +87,10 @@ func (p *FCFS) order(jobs []core.JobView) *byKey {
 	return &p.rank
 }
 
-// Rates implements core.Policy.
-func (p *FCFS) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	// jobs arrive ordered by (Release, ID) already; keep the explicit
-	// ranking for robustness against future engine changes.
-	p.order(jobs).topM(m, rates)
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware: the k-th oldest job runs on the
-// k-th fastest machine.
-func (p *FCFS) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.order(jobs).topMEnv(env, rates)
+// Rates implements core.Policy: the k-th oldest job runs on the k-th
+// fastest machine. jobs arrive ordered by (Release, ID) already; the
+// explicit ranking keeps FCFS robust against future engine changes.
+func (p *FCFS) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	p.order(jobs).topM(env, rates)
 	return core.NoHorizon
 }

@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"math"
-
-	"rrnorm/internal/core"
-)
+import "rrnorm/internal/core"
 
 // WSRPT is weighted SRPT: the m alive jobs with the smallest
 // remaining-work-to-weight ratio each get a full machine — the natural
@@ -32,14 +28,8 @@ func (p *WSRPT) order(jobs []core.JobView) *byKey {
 }
 
 // Rates implements core.Policy.
-func (p *WSRPT) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.order(jobs).topM(m, rates)
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware.
-func (p *WSRPT) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.order(jobs).topMEnv(env, rates)
+func (p *WSRPT) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	p.order(jobs).topM(env, rates)
 	return core.NoHorizon
 }
 
@@ -66,14 +56,8 @@ func (p *WSJF) order(jobs []core.JobView) *byKey {
 }
 
 // Rates implements core.Policy.
-func (p *WSJF) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.order(jobs).topM(m, rates)
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware.
-func (p *WSJF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	p.order(jobs).topMEnv(env, rates)
+func (p *WSJF) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	p.order(jobs).topM(env, rates)
 	return core.NoHorizon
 }
 
@@ -93,17 +77,9 @@ func (*PropShare) Name() string { return "PROP" }
 // Clairvoyant implements core.Policy.
 func (*PropShare) Clairvoyant() bool { return false }
 
-// Rates implements core.Policy.
-func (p *PropShare) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	w := p.weights(jobs)
-	waterfill(w, math.Min(float64(m), float64(len(jobs))), rates, p.buf.capped)
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware via the largest uniform
-// proportional scaling feasible on the speed profile (see propFillEnv).
-func (p *PropShare) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	propFillEnv(p.weights(jobs), env, rates, &p.buf.desc)
+// Rates implements core.Policy (see shareBuf.fill for both models).
+func (p *PropShare) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+	p.buf.fill(p.weights(jobs), env, rates)
 	return core.NoHorizon
 }
 

@@ -11,8 +11,8 @@ func TestPropShareEqualsRRUnweighted(t *testing.T) {
 	jobs := []core.JobView{{ID: 0, Weight: 1}, {ID: 1, Weight: 1}, {ID: 2, Weight: 1}}
 	a := make([]float64, 3)
 	b := make([]float64, 3)
-	NewPropShare().Rates(0, jobs, 2, 1, a)
-	NewRR().Rates(0, jobs, 2, 1, b)
+	NewPropShare().Rates(0, jobs, unit(2), a)
+	NewRR().Rates(0, jobs, unit(2), b)
 	for i := range a {
 		approx(t, a[i], b[i], 1e-12, "PROP(w=1) == RR")
 	}
@@ -21,7 +21,7 @@ func TestPropShareEqualsRRUnweighted(t *testing.T) {
 func TestPropShareProportional(t *testing.T) {
 	jobs := []core.JobView{{ID: 0, Weight: 3}, {ID: 1, Weight: 1}}
 	rates := make([]float64, 2)
-	NewPropShare().Rates(0, jobs, 1, 1, rates)
+	NewPropShare().Rates(0, jobs, unit(1), rates)
 	approx(t, rates[0], 0.75, 1e-12, "heavy job share")
 	approx(t, rates[1], 0.25, 1e-12, "light job share")
 }
@@ -29,7 +29,7 @@ func TestPropShareProportional(t *testing.T) {
 func TestPropShareZeroWeightDefaultsToOne(t *testing.T) {
 	jobs := []core.JobView{{ID: 0}, {ID: 1, Weight: 1}}
 	rates := make([]float64, 2)
-	NewPropShare().Rates(0, jobs, 1, 1, rates)
+	NewPropShare().Rates(0, jobs, unit(1), rates)
 	approx(t, rates[0], 0.5, 1e-12, "unset weight acts as 1")
 	approx(t, rates[1], 0.5, 1e-12, "unset weight acts as 1")
 }
@@ -42,7 +42,7 @@ func TestWSRPTPrefersDense(t *testing.T) {
 		{ID: 1, Remaining: 2, Weight: 1},
 	}
 	rates := make([]float64, 2)
-	NewWSRPT().Rates(0, jobs, 1, 1, rates)
+	NewWSRPT().Rates(0, jobs, unit(1), rates)
 	approx(t, rates[0], 1, 1e-12, "dense job runs")
 	approx(t, rates[1], 0, 1e-12, "sparse job waits")
 }
@@ -66,7 +66,7 @@ func TestWSJFPrefersDensity(t *testing.T) {
 		{ID: 1, Size: 1, Weight: 1},    // density 1
 	}
 	rates := make([]float64, 2)
-	NewWSJF().Rates(0, jobs, 1, 1, rates)
+	NewWSJF().Rates(0, jobs, unit(1), rates)
 	approx(t, rates[0], 1, 1e-12, "heavy big job first")
 	approx(t, rates[1], 0, 1e-12, "light small job waits")
 }

@@ -36,19 +36,11 @@ func (*WRR) Name() string { return "WRR" }
 // Clairvoyant implements core.Policy.
 func (*WRR) Clairvoyant() bool { return false }
 
-// Rates implements core.Policy.
-func (p *WRR) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
+// Rates implements core.Policy: age-proportional shares (see
+// shareBuf.fill for both models), re-planned on the drift-bounded quantum.
+func (p *WRR) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	w, minAge := p.ages(jobs)
-	waterfill(w, math.Min(float64(m), float64(len(jobs))), rates, p.buf.capped)
-	return p.horizon(minAge)
-}
-
-// RatesEnv implements core.MachineAware: age-proportional shares via the
-// largest uniform scaling feasible on the speed profile (propFillEnv),
-// re-planned on the same drift-bounded quantum as the identical path.
-func (p *WRR) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	w, minAge := p.ages(jobs)
-	propFillEnv(w, env, rates, &p.buf.desc)
+	p.buf.fill(w, env, rates)
 	return p.horizon(minAge)
 }
 

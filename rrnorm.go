@@ -141,8 +141,10 @@ func SimulateBatch(points []BatchPoint, workers int) ([]*Result, error) {
 // so the result is byte-identical at every worker count. This is a
 // different discipline from the global policy on m machines (jobs never
 // migrate between machines); the result's Policy field carries a "+shard"
-// suffix to keep the two apart. See internal/batch.RunSharded for the
-// streaming-observer variant that merges per-shard StreamNorms.
+// suffix to keep the two apart. Machine speeds are rejected as invalid
+// options, since each shard runs on one machine. See
+// internal/batch.RunSharded for the streaming-observer variant that merges
+// per-shard StreamNorms.
 func SimulateSharded(in *Instance, policyName string, opts Options, workers int) (*Result, error) {
 	return batch.RunSharded(context.Background(), in, policyName, opts, workers, nil, nil)
 }
